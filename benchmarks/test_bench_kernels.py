@@ -13,12 +13,13 @@ per-optimization before/after numbers:
   n=16k workload: a large stable network absorbs one flipped node and
   re-stabilizes over Θ(n) rounds with an O(1) dirty frontier.  Before
   = the gather-based vector frontier (the pre-packing structure,
-  forced via ``_SCALAR_MAX = 0``); after = the scalar small-frontier
-  path.  Rounds/sec both ways.
+  forced via ``repro.kernels._SCALAR_MAX = 0``); after = the scalar
+  small-frontier path.  Rounds/sec both ways.
 * **batch-sweep stepping (headline 2)** — an E1-style group (many
   random starts, one graph) stepped per-trial vs as one ``(k, n)``
   ``run_batch`` call with row compaction, for both protocols, plus the
-  end-to-end ``run_trials`` wall time with dispatch on/off.
+  end-to-end ``run_trials`` wall time of ``backend="auto"`` specs with
+  dispatch on (batched) and off (per-trial vectorized).
 * **graph handoff** — pickle round-trip cost of a trial spec with a
   plain ``Graph`` vs the shared-memory CSR proxy.
 
@@ -45,10 +46,10 @@ import numpy as np
 
 from repro.core.faults import random_configuration
 from repro.engine import make_protocol
+from repro import kernels as _kernels_module
 from repro.graphs.generators import erdos_renyi_graph, path_graph
 from repro.matching.smm_batch import BatchSMM
 from repro.matching.smm_vectorized import VectorizedSMM
-from repro.mis import sis_vectorized as _sis_vec_module
 from repro.mis.sis_batch import BatchSIS
 from repro.mis.sis_vectorized import VectorizedSIS
 from repro.parallel import SharedGraphStore, TrialSpec, run_trials
@@ -221,15 +222,15 @@ def _bench_frontier_recovery(report):
     faulty = stable.copy()
     faulty[n // 2] ^= 1  # one flipped mid-path node
 
-    original_scalar_max = _sis_vec_module._SCALAR_MAX
+    original_scalar_max = _kernels_module._SCALAR_MAX
     try:
         # before: the gather-based vector frontier for every sparse
         # round — the pre-packing active-set structure (conservative:
         # it still benefits from the packed dtypes)
-        _sis_vec_module._SCALAR_MAX = 0
+        _kernels_module._SCALAR_MAX = 0
         before, before_s = _best_of(2, lambda: sis.run(faulty.copy()))
     finally:
-        _sis_vec_module._SCALAR_MAX = original_scalar_max
+        _kernels_module._SCALAR_MAX = original_scalar_max
     after, after_s = _best_of(2, lambda: sis.run(faulty.copy()))
 
     assert before.rounds == after.rounds
@@ -305,18 +306,31 @@ def _bench_batch_sweep(report):
 
     # end-to-end: the same sweep through run_trials with dispatch
     # on/off — diluted by per-trial decode + legitimacy checking that
-    # both paths pay, recorded so the kernel-level number has context
+    # both paths pay, recorded so the kernel-level number has context.
+    # The specs say backend="auto": only auto specs are sweep-eligible,
+    # so any other backend would time the same per-trial path twice.
     smm, sis = make_protocol("smm"), make_protocol("sis")
     specs = [
-        TrialSpec("smm", graph, random_configuration(smm, graph, ensure_rng(s)))
+        TrialSpec(
+            "smm",
+            graph,
+            random_configuration(smm, graph, ensure_rng(s)),
+            backend="auto",
+        )
         for s in range(k)
     ] + [
-        TrialSpec("sis", graph, random_configuration(sis, graph, ensure_rng(s)))
+        TrialSpec(
+            "sis",
+            graph,
+            random_configuration(sis, graph, ensure_rng(s)),
+            backend="auto",
+        )
         for s in range(k)
     ]
     per_rows, per_s = _best_of(1, lambda: run_trials(specs, batch_sweep=False))
     batch_rows, batch_s = _best_of(1, lambda: run_trials(specs, batch_sweep=True))
     for a, b in zip(per_rows, batch_rows):
+        assert a.backend == "vectorized" and b.backend == "batch"
         assert a.final == b.final and a.rounds == b.rounds
         assert a.moves_by_rule == b.moves_by_rule
     section["end_to_end_run_trials"] = {

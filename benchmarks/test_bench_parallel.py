@@ -47,6 +47,18 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
+def _full_scan_sis(vec, x):
+    """The bench's own full-scan baseline: every node is re-evaluated
+    every round through the kernel's public ``step``, until the
+    fixpoint.  Returns ``(final_x, rounds)``."""
+    rounds = 0
+    while True:
+        new_x = vec.step(x)
+        if np.array_equal(new_x, x):
+            return x, rounds
+        x, rounds = new_x, rounds + 1
+
+
 def test_bench_parallel(results_dir):
     report = {
         "host": {
@@ -108,13 +120,13 @@ def test_bench_parallel(results_dir):
     for n in (4096, 16384):
         g = path_graph(n)
         vec = VectorizedSIS(g)
-        stable = vec.run(active_set=False).final_x
+        stable = vec.run().final_x
         faulty = stable.copy()
         faulty[n // 2] ^= 1  # flip one mid-path node
-        full, full_s = _timed(lambda: vec.run(faulty, active_set=False))
-        fast, act_s = _timed(lambda: vec.run(faulty, active_set=True))
-        assert full.rounds == fast.rounds
-        assert np.array_equal(full.final_x, fast.final_x)
+        (full_x, full_rounds), full_s = _timed(lambda: _full_scan_sis(vec, faulty))
+        fast, act_s = _timed(lambda: vec.run(faulty))
+        assert full_rounds == fast.rounds
+        assert np.array_equal(full_x, fast.final_x)
         recovery.append(
             {
                 "n": n,
@@ -123,7 +135,7 @@ def test_bench_parallel(results_dir):
                 "active_seconds": round(act_s, 3),
                 "speedup": round(full_s / act_s, 2),
                 "rounds_per_sec_active": round(fast.rounds / act_s, 1),
-                "rounds_per_sec_full": round(full.rounds / full_s, 1),
+                "rounds_per_sec_full": round(full_rounds / full_s, 1),
             }
         )
     report["active_set_fault_recovery"] = {
@@ -132,8 +144,8 @@ def test_bench_parallel(results_dir):
         "note": (
             "recovery keeps an O(1) dirty frontier over Theta(n) "
             "rounds — the active path's best case, with speedup "
-            "growing in n; dense rounds fall back to the flat full "
-            "scan, so from-scratch runs are never slower"
+            "growing in n; the full-scan baseline is the bench's own "
+            "loop over VectorizedSIS.step"
         ),
     }
 

@@ -637,7 +637,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     runner.add_argument(
         "--backend",
-        choices=("auto", "reference", "vectorized", "batch"),
+        choices=("auto", "reference", "vectorized"),
         default="reference",
         help="execution engine backend (repro.engine); 'auto' picks the "
         "fastest applicable kernel per run, every backend produces "

@@ -283,9 +283,15 @@ def _factory(module: str, attr: str) -> Callable[[], object]:
     return make
 
 
-def _lazy_runner(module: str, attr: str) -> Runner:
+def _kernel_runner(module: str, cls_name: str) -> Runner:
+    """The shared kernel adapter (:func:`repro.kernels.run_engine`)
+    bound to one kernel class, imported on first call."""
+
     def runner(*args, **kwargs) -> RunResult:
-        return getattr(importlib.import_module(module), attr)(*args, **kwargs)
+        from repro.kernels import run_engine
+
+        kernel_cls = getattr(importlib.import_module(module), cls_name)
+        return run_engine(kernel_cls, *args, **kwargs)
 
     return runner
 
@@ -364,16 +370,12 @@ def _register_builtins() -> None:
     register_protocol("smm-arbitrary-clockwise", _make_arbitrary_clockwise)
     register_protocol("smm-max-accept", _make_smm_max_accept)
 
-    # kernel backends (runners are the kernel modules' engine adapters).
+    # kernel backends (one shared adapter, bound to each kernel class).
     # every kernel implements cheap telemetry collection (it already
-    # computes the per-rule fire masks; summing them is nearly free), so
+    # computes the per-rule counts; recording them is nearly free), so
     # requesting telemetry never disqualifies the fast path.
     telemetry = frozenset({"telemetry"})
     active = frozenset({"active_set"}) | telemetry
-    # the batch kernels additionally execute whole groups of
-    # same-(graph, protocol) trial specs as one (k, n) stepping op; the
-    # trial runner's batch-sweep planner looks for this capability
-    batch_sweep = frozenset({"batch_sweep"})
     # the vectorized SMM/SIS kernels also run fault campaigns on the
     # dense arrays; "faults" is the capability, "fault_plan" the option
     # name their supports-predicates must whitelist
@@ -383,25 +385,16 @@ def _register_builtins() -> None:
         "smm",
         "synchronous",
         "vectorized",
-        _lazy_runner("repro.matching.smm_vectorized", "run_engine"),
+        _kernel_runner("repro.matching.smm_vectorized", "VectorizedSMM"),
         capabilities=faulty,
         priority=20,
         supports=_supports_plain_smm(faulty_options),
     )
     register_backend(
-        "smm",
-        "synchronous",
-        "batch",
-        _lazy_runner("repro.matching.smm_batch", "run_engine"),
-        capabilities=telemetry | batch_sweep,
-        priority=10,
-        supports=_supports_plain_smm(telemetry),
-    )
-    register_backend(
         "sis",
         "synchronous",
         "vectorized",
-        _lazy_runner("repro.mis.sis_vectorized", "run_engine"),
+        _kernel_runner("repro.mis.sis_vectorized", "VectorizedSIS"),
         capabilities=faulty,
         priority=20,
         supports=_supports_kernel(
@@ -409,21 +402,10 @@ def _register_builtins() -> None:
         ),
     )
     register_backend(
-        "sis",
-        "synchronous",
-        "batch",
-        _lazy_runner("repro.mis.sis_batch", "run_engine"),
-        capabilities=telemetry | batch_sweep,
-        priority=10,
-        supports=_supports_kernel(
-            "repro.mis.sis.SynchronousMaximalIndependentSet", telemetry
-        ),
-    )
-    register_backend(
         "luby",
         "synchronous",
         "vectorized",
-        _lazy_runner("repro.mis.luby_vectorized", "run_engine"),
+        _kernel_runner("repro.mis.luby_vectorized", "VectorizedLuby"),
         capabilities=frozenset({"rng"}) | telemetry,
         priority=20,
         supports=_supports_kernel("repro.mis.variants.LubyStyleMIS", telemetry),

@@ -8,10 +8,10 @@ experiments — goes through:
   accepts the concrete run.  In practice: the vectorized kernel for
   plain SMM/SIS/Luby runs with no monitors, no history recording and no
   injected choosers; the reference engine otherwise.
-* ``backend="reference"`` / ``"vectorized"`` / ``"batch"`` force one
-  backend explicitly (benchmarks, equivalence tests); an explicit
-  backend that cannot honour the run's requirements raises rather than
-  silently degrading.
+* ``backend="reference"`` / ``"vectorized"`` force one backend
+  explicitly (benchmarks, equivalence tests); an explicit backend that
+  cannot honour the run's requirements raises rather than silently
+  degrading.
 
 Every backend returns the same :class:`~repro.engine.result.RunResult`
 type and identical summary semantics — cross-backend equivalence

@@ -197,110 +197,3 @@ class BatchSMM:
                 result,
             )
         return result
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def _telemetry_run_batch(protocol, kernel: BatchSMM, ptrs: np.ndarray,
-                         budget: int):
-    """Batch-of-one run with per-round counter and census recording.
-
-    Same loop structure as the reference engine and the single-run
-    kernel's telemetry path (step → zero-fire stabilized break → budget
-    break → apply and count) but stepping through
-    :meth:`BatchSMM._step_rules`, so the batch kernel itself is what
-    telemetry observes.  Returns ``(stabilized, rounds, moves_by_rule,
-    ptrs, recorder)`` with the recorder in its finalize phase.
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", "batch", protocol.rule_names()
-    )
-    recorder.record_census(kernel.single.census(ptrs[0]))
-    recorder.begin_rounds()
-    moves_by_rule = {"R1": 0, "R2": 0, "R3": 0}
-    rounds = 0
-    stabilized = False
-    while True:
-        new_ptrs, r1, r2, r3 = kernel._step_rules(ptrs)
-        c1, c2, c3 = int(r1.sum()), int(r2.sum()), int(r3.sum())
-        if c1 + c2 + c3 == 0:
-            stabilized = True
-            break
-        if rounds >= budget:
-            break
-        ptrs = new_ptrs
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        moves_by_rule["R3"] += c3
-        recorder.on_round(
-            {"R1": c1, "R2": c2, "R3": c3},
-            kernel.n,
-            kernel.single.census(ptrs[0]),
-        )
-    recorder.begin_finalize()
-    return stabilized, rounds, moves_by_rule, ptrs, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    telemetry: bool = False,
-):
-    """Registered ``("smm", "synchronous", "batch")`` backend.
-
-    Runs a batch of one — useful mainly so the batch kernel sits in the
-    same cross-backend equivalence harness as everything else (E10 and
-    ``tests/test_engine_equivalence.py``); sweeps that want the batch
-    throughput win call :meth:`BatchSMM.run_batch` directly.  With
-    ``telemetry=True`` the run collects per-round rule counters and the
-    Fig. 2 census, byte-identical with the other backends.
-    """
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = BatchSMM(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        stabilized, rounds, moves_by_rule, ptrs, recorder = _telemetry_run_batch(
-            protocol, kernel, kernel.encode_batch([initial]), budget
-        )
-        final = kernel.single.decode(ptrs[0])
-    else:
-        res = kernel.run_batch([initial], max_rounds=budget)
-        stabilized = bool(res.stabilized[0])
-        rounds = int(res.rounds[0])
-        final = kernel.single.decode(res.final_ptr[0])
-        moves_by_rule = {
-            name: int(counts[0]) for name, counts in res.moves_by_rule.items()
-        }
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="batch",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

@@ -18,10 +18,10 @@ State layout: pointer arrays are packed to the narrowest dtype that fits
 ``n`` plus the segmented-minimum sentinel (int32 for every practical
 graph — see :func:`repro.kernels.state_dtype`), per-row reductions run
 on ``ufunc.reduceat`` over contiguous CSR segments instead of the slow
-buffered ``ufunc.at`` scatter, and tiny frontiers (at most
-``_SCALAR_MAX`` dirty nodes) step through a pure-Python decision loop —
-a couple of list lookups beat ~20 NumPy calls of fixed per-call overhead
-when only two or three nodes can move.
+buffered ``ufunc.at`` scatter.  The kernel supplies the per-round
+decisions — the flat full scan, the gathered scan of a dirty frontier,
+and pure-Python decisions for tiny frontiers — and
+:func:`repro.kernels.drive` owns the round loop.
 
 Equivalence with the reference engine is pinned by
 ``tests/test_smm_vectorized.py`` on random graphs and random initial
@@ -40,16 +40,13 @@ from repro.errors import InvalidConfigurationError, StabilizationTimeout
 from repro.graphs.graph import Graph
 from repro.kernels import (
     SMM_NULL,
-    closed_neighborhood,
     csr_entry_positions,
+    drive,
     segment_any,
     segment_min,
     state_dtype,
 )
 from repro.types import NodeId, Pointer
-
-#: Frontier size at or below which the pure-Python scalar step runs.
-_SCALAR_MAX = 32
 
 
 @dataclass
@@ -66,6 +63,9 @@ class VectorResult:
 
 class VectorizedSMM:
     """SMM rounds as NumPy array operations over one fixed graph."""
+
+    #: rule order of the per-rule counts the decisions return
+    RULES = ("R1", "R2", "R3")
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -166,12 +166,12 @@ class VectorizedSMM:
         return new_ptr, r1, r2, r3
 
     # ------------------------------------------------------------------
-    # active-set stepping
+    # per-round decisions (the loop is repro.kernels.drive)
     # ------------------------------------------------------------------
     def _pointers_valid(self, ptr: np.ndarray) -> bool:
         """Whether every non-null pointer targets a neighbour.
 
-        The active-set fast path propagates dirtiness through closed
+        Frontier stepping propagates dirtiness through closed
         neighbourhoods, which is only sound when decisions depend on
         neighbourhood state alone — i.e. when pointers stay within
         ``N(i)``.  Valid SMM states satisfy this and the rules preserve
@@ -185,16 +185,21 @@ class VectorizedSMM:
         seg = np.concatenate(([0], np.cumsum(counts)))
         return bool(segment_any(hit, seg).all())
 
-    def _decide(
-        self, ptr: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute the pending decision of ``rows`` against ``ptr``.
+    def decide_all(self, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Full-scan decisions: ``(movers, values, (r1, r2, r3))`` — the
+        nodes that fire, the pointers they adopt, and the per-rule
+        counts."""
+        new_ptr, r1, r2, r3 = self.step(ptr)
+        movers = np.nonzero(r1 | r2 | r3)[0]
+        return movers, new_ptr[movers], (int(r1.sum()), int(r2.sum()), int(r3.sum()))
 
-        Returns ``(rule, val)`` aligned with ``rows``: ``rule[k] ∈ {0
-        (idle), 1 (R1), 2 (R2), 3 (R3)}`` and ``val[k]`` is the state
-        ``rows[k]`` will adopt if it fires.  Nodes outside ``rows`` are
-        not looked at — their neighbourhood is unchanged, so their
-        previous (idle) decision still holds.
+    def decide_rows(
+        self, ptr: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """:meth:`decide_all` restricted to ``rows``.
+
+        Nodes outside ``rows`` are not looked at — their neighbourhood
+        is unchanged, so their previous (idle) decision still holds.
         """
         sentinel = self.n
         positions, counts = csr_entry_positions(self._indptr, rows)
@@ -220,19 +225,21 @@ class VectorizedSMM:
         target_ptr = ptr[target]
         r3 = (~is_null) & (target_ptr >= 0) & (target_ptr != rows)
 
-        rule = np.select([r1, r2, r3], [1, 2, 3], default=0).astype(np.int8)
+        fired = r1 | r2 | r3
         val = np.where(r1, min_proposer, np.where(r2, min_null, SMM_NULL))
-        return rule, val
+        return (
+            rows[fired],
+            val[fired],
+            (int(r1.sum()), int(r2.sum()), int(r3.sum())),
+        )
 
-    def _decide_scalar(
+    def decide_scalar(
         self, ptr: np.ndarray, rows: List[int]
-    ) -> tuple[List[int], List[int], int, int, int]:
-        """Pure-Python decisions for a tiny frontier.
+    ) -> tuple[List[int], List[int], tuple]:
+        """Pure-Python :meth:`decide_rows` for a tiny frontier.
 
-        Semantically identical to :meth:`_decide` restricted to the
-        enabled nodes: returns ``(movers, vals, c1, c2, c3)``.  CSR rows
-        ascend, so the first proposer / null neighbour found scanning a
-        row is the minimum-id one.
+        CSR rows ascend, so the first proposer / null neighbour found
+        scanning a row is the minimum-id one.
         """
         indptr, indices = self._scalar_csr()
         movers: List[int] = []
@@ -265,118 +272,7 @@ class VectorizedSMM:
                     movers.append(i)
                     vals.append(SMM_NULL)
                     c3 += 1
-        return movers, vals, c1, c2, c3
-
-    def _run_active(
-        self, ptr: np.ndarray, budget: int, moves_by_rule: Dict[str, int]
-    ) -> tuple[bool, int, np.ndarray]:
-        stabilized, rounds, ptr, _ = self.segment_active(ptr, budget, moves_by_rule)
-        return stabilized, rounds, ptr
-
-    def segment_active(
-        self,
-        ptr: np.ndarray,
-        budget: int,
-        moves_by_rule: Dict[str, int],
-        dirty=None,
-        touched: Optional[np.ndarray] = None,
-    ) -> tuple[bool, int, np.ndarray, object]:
-        """Frontier stepping with an optional seeded initial dirty set.
-
-        This is the active-set loop of :meth:`run`, exposed for the
-        streaming engine: after a topology event over a quiescent state,
-        only the closed neighbourhood of the fault sites can be enabled,
-        so seeding ``dirty`` with it re-stabilizes at the containment
-        radius instead of scanning all ``n`` nodes.  ``dirty=None``
-        marks everything dirty (the cold-start case).  ``touched``, when
-        given, is a length-``n`` bool array accumulating every mover (the
-        containment-radius input).  Returns ``(stabilized, rounds, ptr,
-        residual_dirty)`` — the residual seeds the next segment when the
-        budget cut re-stabilization short.
-
-        Correctness of a seeded ``dirty``: enabled nodes are always a
-        subset of the dirty set — under the synchronous daemon every
-        enabled node fires, every firing changes the pointer (R1/R2:
-        null -> node, R3: node -> null), and every changed node lands in
-        the next dirty set — so a node outside it was last seen idle and
-        stays idle.  Per-round work is proportional to the frontier;
-        dense rounds (dirty set above n/16) use the cheaper flat full
-        scan instead — a dirty superset is always sound, so they just
-        mark everything dirty.  Tiny frontiers step through the scalar
-        loop (the dirty set may be an ndarray or a sorted list depending
-        on the branch that produced it; decisions and dirty contents are
-        identical).
-        """
-        dense = max(1, self.n // 16)
-        scalar_max = min(_SCALAR_MAX, dense - 1)
-        if dirty is None:
-            dirty = np.arange(self.n, dtype=np.int64)
-        rounds = 0
-        stabilized = False
-        while True:
-            if len(dirty) >= dense:
-                new_ptr, r1, r2, r3 = self.step(ptr)
-                fired = r1 | r2 | r3
-                if not fired.any():
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int(r1.sum())
-                moves_by_rule["R2"] += int(r2.sum())
-                moves_by_rule["R3"] += int(r3.sum())
-                movers = np.nonzero(fired)[0]
-                ptr[movers] = new_ptr[movers]
-                if touched is not None:
-                    touched[movers] = True
-                n_moved = movers.size
-            elif len(dirty) <= scalar_max:
-                rows = dirty if isinstance(dirty, list) else dirty.tolist()
-                movers, vals, c1, c2, c3 = self._decide_scalar(ptr, rows)
-                if not movers:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += c1
-                moves_by_rule["R2"] += c2
-                moves_by_rule["R3"] += c3
-                for i, v in zip(movers, vals):
-                    ptr[i] = v
-                    if touched is not None:
-                        touched[i] = True
-                n_moved = len(movers)
-            else:
-                if isinstance(dirty, list):
-                    dirty = np.asarray(dirty, dtype=np.int64)
-                rule, val = self._decide(ptr, dirty)
-                enabled = rule != 0
-                if not enabled.any():
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moved_rules = rule[enabled]
-                moves_by_rule["R1"] += int((moved_rules == 1).sum())
-                moves_by_rule["R2"] += int((moved_rules == 2).sum())
-                moves_by_rule["R3"] += int((moved_rules == 3).sum())
-                movers = dirty[enabled]
-                ptr[movers] = val[enabled]
-                if touched is not None:
-                    touched[movers] = True
-                n_moved = movers.size
-            rounds += 1
-            if n_moved >= dense:
-                dirty = np.arange(self.n, dtype=np.int64)
-            elif isinstance(movers, list):
-                indptr, indices = self._scalar_csr()
-                nxt = set(movers)
-                for i in movers:
-                    nxt.update(indices[indptr[i]:indptr[i + 1]])
-                dirty = sorted(nxt)
-            else:
-                dirty = closed_neighborhood(self._indptr, self._indices, movers)
-        return stabilized, rounds, ptr, dirty
+        return movers, vals, (c1, c2, c3)
 
     # ------------------------------------------------------------------
     def run(
@@ -385,44 +281,28 @@ class VectorizedSMM:
         *,
         max_rounds: Optional[int] = None,
         raise_on_timeout: bool = False,
-        active_set: bool = True,
     ) -> VectorResult:
         """Iterate rounds until no rule fires.
 
         ``config`` may be a ``{node: Pointer}`` mapping or a dense
-        pointer array; ``None`` starts all-null.  ``active_set`` picks
-        the frontier-stepping path (identical results, recomputes only
-        nodes whose closed neighbourhood changed); it falls back to the
-        full scan automatically when the initial array contains
-        non-neighbour pointers (possible only via raw dense input).
+        pointer array; ``None`` starts all-null.  A dense array with a
+        pointer to a non-neighbour is outside SMM's state space and
+        raises :class:`~repro.errors.InvalidConfigurationError`, as the
+        same configuration does through the engine.
         """
         if config is None:
             ptr = np.full(self.n, SMM_NULL, dtype=self._dtype)
         elif isinstance(config, np.ndarray):
             ptr = config.astype(self._dtype, copy=True)
+            if not self._pointers_valid(ptr):
+                raise InvalidConfigurationError(
+                    "dense pointer array points to a non-neighbour"
+                )
         else:
             ptr = self.encode(config)
 
         budget = max_rounds if max_rounds is not None else self.n + 8
-        moves_by_rule = {"R1": 0, "R2": 0, "R3": 0}
-        rounds = 0
-        stabilized = False
-        if active_set and self._pointers_valid(ptr):
-            stabilized, rounds, ptr = self._run_active(ptr, budget, moves_by_rule)
-        else:
-            while True:
-                new_ptr, r1, r2, r3 = self.step(ptr)
-                fired = int(r1.sum() + r2.sum() + r3.sum())
-                if fired == 0:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                ptr = new_ptr
-                rounds += 1
-                moves_by_rule["R1"] += int(r1.sum())
-                moves_by_rule["R2"] += int(r2.sum())
-                moves_by_rule["R3"] += int(r3.sum())
+        stabilized, rounds, moves_by_rule, _ = drive(self, ptr, budget)
         result = VectorResult(
             stabilized=stabilized,
             rounds=rounds,
@@ -435,6 +315,30 @@ class VectorizedSMM:
                 f"vectorized SMM exceeded {budget} rounds", result
             )
         return result
+
+    # ------------------------------------------------------------------
+    # in-place state surgery for fault campaigns and streams
+    # ------------------------------------------------------------------
+    def perturb_one(self, ptr: np.ndarray, k: int, gen) -> None:
+        """Redraw node ``k``'s pointer in place, draw for draw like
+        ``SynchronousMaximalMatching.random_state``: the option list is
+        ``[None, *neighbours]`` and one ``integers(deg + 1)`` draw picks
+        from it (CSR rows share the neighbour order)."""
+        start, stop = int(self._indptr[k]), int(self._indptr[k + 1])
+        j = int(gen.integers(stop - start + 1))
+        ptr[k] = SMM_NULL if j == 0 else int(self._indices[start + j - 1])
+
+    @staticmethod
+    def drop_removed_links(ptr: np.ndarray, pairs) -> None:
+        """Migrate ``ptr`` across the removal of the dense-index edges
+        ``pairs``: a valid pointer only turns invalid when its own link
+        is removed, so resetting the endpoints of removed edges equals
+        the full ``migrate_configuration`` sweep."""
+        for ku, kv in pairs:
+            if ptr[ku] == kv:
+                ptr[ku] = SMM_NULL
+            if ptr[kv] == ku:
+                ptr[kv] = SMM_NULL
 
     def census(self, ptr: np.ndarray) -> Dict[str, int]:
         """Fig. 2 node-type histogram of a dense pointer array.
@@ -484,133 +388,3 @@ class VectorizedSMM:
             if t >= 0 and int(targets[t]) == k and k < t:
                 out.add((int(self._ids[k]), int(self._ids[t])))
         return frozenset(out)
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def telemetry_run(protocol, kernel: VectorizedSMM, ptr: np.ndarray,
-                  budget: int, backend: str):
-    """Full-scan SMM run with per-round counter and census recording.
-
-    Mirrors the reference loop structure exactly (step → zero-fire
-    stabilized break → budget break → apply and count), so rounds,
-    total moves and the per-round telemetry counters are byte-identical
-    with the reference engine.  The active-set fast path is bypassed:
-    telemetry wants the per-round census anyway, which is a full-array
-    pass.  Returns ``(VectorResult, recorder)`` with the recorder left
-    in its finalize phase (caller calls ``finish()`` after decoding).
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", backend, protocol.rule_names()
-    )
-    recorder.record_census(kernel.census(ptr))
-    recorder.begin_rounds()
-    moves_by_rule = {"R1": 0, "R2": 0, "R3": 0}
-    rounds = 0
-    stabilized = False
-    while True:
-        new_ptr, r1, r2, r3 = kernel.step(ptr)
-        c1, c2, c3 = int(r1.sum()), int(r2.sum()), int(r3.sum())
-        if c1 + c2 + c3 == 0:
-            stabilized = True
-            break
-        if rounds >= budget:
-            break
-        ptr = new_ptr
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        moves_by_rule["R3"] += c3
-        recorder.on_round(
-            {"R1": c1, "R2": c2, "R3": c3}, kernel.n, kernel.census(ptr)
-        )
-    recorder.begin_finalize()
-    res = VectorResult(
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        final_ptr=ptr,
-    )
-    return res, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    active_set: bool = True,
-    telemetry: bool = False,
-    fault_plan=None,
-):
-    """Registered ``("smm", "synchronous", "vectorized")`` backend.
-
-    Validates the initial configuration and applies the default round
-    budget exactly like the reference engine, runs the kernel, and
-    returns a :class:`~repro.engine.result.RunResult` with the summary
-    fields (``move_log``/``history`` stay ``None`` — this backend does
-    not trace; ``rng``/``record_history`` are accepted for the uniform
-    runner signature, and selection guarantees they are unused).  With
-    ``telemetry=True`` the run collects per-round rule counters and the
-    Fig. 2 node-type census into ``result.telemetry``.  With a
-    ``fault_plan`` the run executes as a segmented fault campaign on the
-    dense arrays (:mod:`repro.resilience.vector`), byte-identical in its
-    counters with the reference campaign.
-    """
-    if fault_plan is not None:
-        from repro.resilience.vector import run_vector_campaign
-
-        return run_vector_campaign(
-            protocol,
-            graph,
-            config,
-            fault_plan=fault_plan,
-            family="smm",
-            rng=rng,
-            max_rounds=max_rounds,
-            record_history=record_history,
-            raise_on_timeout=raise_on_timeout,
-            active_set=active_set,
-            telemetry=telemetry,
-        )
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = VectorizedSMM(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        res, recorder = telemetry_run(
-            protocol, kernel, kernel.encode(initial), budget, "vectorized"
-        )
-    else:
-        res = kernel.run(initial, max_rounds=budget, active_set=active_set)
-    final = kernel.decode(res.final_ptr)
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=res.stabilized,
-        rounds=res.rounds,
-        moves=res.moves,
-        moves_by_rule=res.moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="vectorized",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

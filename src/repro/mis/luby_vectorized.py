@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
+from repro.kernels import Observer
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
 
@@ -45,6 +46,9 @@ class VectorResult:
 
 class VectorizedLuby:
     """Luby-style MIS rounds as array operations over one fixed graph."""
+
+    #: rule order of the per-rule counts handed to ``on_round``
+    RULES = ("R1", "R2")
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -116,13 +120,18 @@ class VectorizedLuby:
         rng: RngLike = None,
         max_rounds: Optional[int] = None,
         raise_on_timeout: bool = False,
+        on_round: Optional[Observer] = None,
     ) -> VectorResult:
         """Iterate rounds until the in-set is an MIS.
 
         Rounds with no winner still consume a draw and count (the
         reference engine's accounting) — see
         :meth:`Protocol.is_quiescent` for why termination cannot be
-        "nobody moved this round".
+        "nobody moved this round".  This is why Luby keeps its own loop
+        instead of :func:`repro.kernels.drive`: it checks quiescence
+        before drawing, once per round.  ``on_round`` observes every
+        round like a ``drive`` observer (every node is evaluated, so the
+        frontier size is ``n``).
         """
         gen = ensure_rng(rng)
         if config is None:
@@ -143,10 +152,16 @@ class VectorizedLuby:
             draws = gen.random(self.n)
             new_x = self.step(x, draws)
             changed = new_x != x
-            moves_by_rule["R1"] += int((changed & (new_x == 1)).sum())
-            moves_by_rule["R2"] += int((changed & (new_x == 0)).sum())
+            counts = (
+                int((changed & (new_x == 1)).sum()),
+                int((changed & (new_x == 0)).sum()),
+            )
+            moves_by_rule["R1"] += counts[0]
+            moves_by_rule["R2"] += counts[1]
             x = new_x
             rounds += 1
+            if on_round is not None:
+                on_round(counts, self.n, x)
         else:
             stabilized = self.is_quiescent(x)
 
@@ -165,109 +180,3 @@ class VectorizedLuby:
 
     def independent_set(self, x: np.ndarray) -> frozenset[NodeId]:
         return frozenset(int(self._ids[k]) for k in range(self.n) if x[k] == 1)
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def _telemetry_run(protocol, kernel: VectorizedLuby, x: np.ndarray,
-                   budget: int, rng):
-    """Luby run with per-round counter recording.
-
-    Consumes the generator draw-for-draw like :meth:`VectorizedLuby.run`
-    (quiescence check *before* drawing, one ``random(n)`` per round), so
-    trajectories — and hence the per-round counters — are bit-identical
-    with both the plain kernel path and the reference engine.  Returns
-    ``(VectorResult, recorder)`` with the recorder in its finalize
-    phase.
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", "vectorized", protocol.rule_names()
-    )
-    recorder.begin_rounds()
-    gen = ensure_rng(rng)
-    moves_by_rule = {"R1": 0, "R2": 0}
-    rounds = 0
-    stabilized = False
-    while rounds < budget:
-        if kernel.is_quiescent(x):
-            stabilized = True
-            break
-        draws = gen.random(kernel.n)
-        new_x = kernel.step(x, draws)
-        changed = new_x != x
-        c1 = int((changed & (new_x == 1)).sum())
-        c2 = int((changed & (new_x == 0)).sum())
-        x = new_x
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        recorder.on_round({"R1": c1, "R2": c2}, kernel.n)
-    else:
-        stabilized = kernel.is_quiescent(x)
-    recorder.begin_finalize()
-    res = VectorResult(
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        final_x=x,
-    )
-    return res, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    telemetry: bool = False,
-):
-    """Registered ``("luby", "synchronous", "vectorized")`` backend.
-
-    The kernel consumes the generator draw-for-draw like the reference
-    engine, so ``engine.run("luby", g, rng=seed, backend=b)`` is
-    trajectory-identical for both backends.  The reference engine's
-    randomized default budget (``10·n + 100``) applies here too.  With
-    ``telemetry=True`` the run collects per-round rule counters into
-    ``result.telemetry``.
-    """
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = VectorizedLuby(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        res, recorder = _telemetry_run(
-            protocol, kernel, kernel.encode(initial), budget, rng
-        )
-    else:
-        res = kernel.run(initial, rng=rng, max_rounds=budget)
-    final = kernel.decode(res.final_x)
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=res.stabilized,
-        rounds=res.rounds,
-        moves=res.moves,
-        moves_by_rule=res.moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="vectorized",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

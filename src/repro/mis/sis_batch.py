@@ -130,97 +130,3 @@ class BatchSIS:
                 result,
             )
         return result
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def _telemetry_run_batch(protocol, kernel: BatchSIS, xs: np.ndarray,
-                         budget: int):
-    """Batch-of-one SIS run with per-round counter recording — same
-    loop structure as the reference engine, stepping through
-    :meth:`BatchSIS.step_batch`.  Returns ``(stabilized, rounds,
-    moves_by_rule, xs, recorder)`` with the recorder in its finalize
-    phase."""
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", "batch", protocol.rule_names()
-    )
-    recorder.begin_rounds()
-    moves_by_rule = {"R1": 0, "R2": 0}
-    rounds = 0
-    stabilized = False
-    while True:
-        new_xs = kernel.step_batch(xs)
-        changed = new_xs != xs
-        c1 = int((changed & (new_xs == 1)).sum())
-        c2 = int((changed & (new_xs == 0)).sum())
-        if c1 + c2 == 0:
-            stabilized = True
-            break
-        if rounds >= budget:
-            break
-        xs = new_xs
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        recorder.on_round({"R1": c1, "R2": c2}, kernel.n)
-    recorder.begin_finalize()
-    return stabilized, rounds, moves_by_rule, xs, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    telemetry: bool = False,
-):
-    """Registered ``("sis", "synchronous", "batch")`` backend (batch of
-    one — see the SMM batch adapter for the rationale).  With
-    ``telemetry=True`` the run collects per-round rule counters,
-    byte-identical with the other backends."""
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = BatchSIS(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        stabilized, rounds, moves_by_rule, xs, recorder = _telemetry_run_batch(
-            protocol, kernel, kernel.encode_batch([initial]), budget
-        )
-        final = kernel.single.decode(xs[0])
-    else:
-        res = kernel.run_batch([initial], max_rounds=budget)
-        stabilized = bool(res.stabilized[0])
-        rounds = int(res.rounds[0])
-        final = kernel.single.decode(res.final_x[0])
-        moves_by_rule = {
-            name: int(counts[0]) for name, counts in res.moves_by_rule.items()
-        }
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="batch",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

@@ -22,10 +22,11 @@ node); :meth:`VectorizedSIS.pack` / :meth:`VectorizedSIS.unpack` /
 :meth:`VectorizedSIS.step_packed` provide the bitset form (8 nodes per
 byte via :func:`repro.kernels.pack_bits`) for memory-lean storage of
 many configurations.  Per-row reductions run on ``logical_or.reduceat``
-over contiguous CSR segments, and tiny frontiers step through a
-pure-Python loop that exploits CSR row order: dense index order equals
-id order, so the larger-id neighbours of row ``i`` are exactly the
-suffix of entries ``> i``.
+over contiguous CSR segments.  The kernel supplies the per-round
+decisions and :func:`repro.kernels.drive` owns the round loop; the
+decisions for tiny frontiers are a pure-Python loop that exploits CSR
+row order: dense index order equals id order, so the larger-id
+neighbours of row ``i`` are exactly the suffix of entries ``> i``.
 
 Equivalence with the reference engine is pinned by
 ``tests/test_sis_vectorized.py``.
@@ -42,16 +43,13 @@ from repro.core.configuration import Configuration
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
 from repro.kernels import (
-    closed_neighborhood,
     csr_entry_positions,
+    drive,
     pack_bits,
     segment_any,
     unpack_bits,
 )
 from repro.types import NodeId
-
-#: Frontier size at or below which the pure-Python scalar step runs.
-_SCALAR_MAX = 32
 
 
 @dataclass
@@ -67,6 +65,9 @@ class VectorResult:
 
 class VectorizedSIS:
     """SIS rounds as NumPy array operations over one fixed graph."""
+
+    #: rule order of the per-rule counts the decisions return
+    RULES = ("R1", "R2")
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -152,8 +153,28 @@ class VectorizedSIS:
         has_in_set = segment_any(x[self._indices] == 1, self._indptr)
         return int(((x == 0) & ~has_in_set).sum())
 
-    def _step_at(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Recompute ``x' = ¬blocked`` at ``rows`` only.
+    # ------------------------------------------------------------------
+    # per-round decisions (the loop is repro.kernels.drive)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _moved(movers: np.ndarray, vals: np.ndarray) -> tuple:
+        """``(movers, vals, (entered, left))``: R1 enters (``0 -> 1``),
+        R2 leaves (``1 -> 0``)."""
+        entered = int(np.count_nonzero(vals))
+        return movers, vals, (entered, movers.size - entered)
+
+    def decide_all(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Full-scan decisions: ``(movers, values, (r1, r2))`` — the
+        nodes whose state changes, their new bits, and the per-rule
+        counts."""
+        new_x = self.step(x)
+        movers = np.nonzero(new_x != x)[0]
+        return self._moved(movers, new_x[movers])
+
+    def decide_rows(
+        self, x: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """:meth:`decide_all` restricted to ``rows``.
 
         Nodes outside ``rows`` are not looked at: a node's blockedness
         depends only on its neighbours' states, so a cached value stays
@@ -162,17 +183,18 @@ class VectorizedSIS:
         positions, counts = csr_entry_positions(self._indptr, rows)
         in_set_entry = (x[self._indices[positions]] == 1) & self._bigger_entry[positions]
         seg = np.concatenate(([0], np.cumsum(counts)))
-        blocked = segment_any(in_set_entry, seg)
-        return (~blocked).astype(np.uint8)
+        new_vals = (~segment_any(in_set_entry, seg)).astype(np.uint8)
+        changed = new_vals != x[rows]
+        return self._moved(rows[changed], new_vals[changed])
 
-    def _step_scalar(
+    def decide_scalar(
         self, x: np.ndarray, rows: List[int]
-    ) -> tuple[List[int], List[int], int, int]:
-        """Pure-Python step for a tiny frontier.
+    ) -> tuple[List[int], List[int], tuple]:
+        """Pure-Python :meth:`decide_rows` for a tiny frontier.
 
-        Returns ``(movers, vals, c1, c2)``.  Dense index order equals id
-        order, so a row's larger-id neighbours are the CSR entries
-        ``> i`` — scanned back to front so the first hit decides.
+        Dense index order equals id order, so a row's larger-id
+        neighbours are the CSR entries ``> i`` — scanned back to front
+        so the first hit decides.
         """
         indptr, indices = self._scalar_csr()
         movers: List[int] = []
@@ -195,109 +217,7 @@ class VectorizedSIS:
                     c1 += 1
                 else:
                     c2 += 1
-        return movers, vals, c1, c2
-
-    def _run_active(
-        self, x: np.ndarray, budget: int, moves_by_rule: Dict[str, int]
-    ) -> tuple[bool, int, np.ndarray]:
-        stabilized, rounds, x, _ = self.segment_active(x, budget, moves_by_rule)
-        return stabilized, rounds, x
-
-    def segment_active(
-        self,
-        x: np.ndarray,
-        budget: int,
-        moves_by_rule: Dict[str, int],
-        dirty=None,
-        touched: Optional[np.ndarray] = None,
-    ) -> tuple[bool, int, np.ndarray, object]:
-        """Frontier stepping with an optional seeded initial dirty set.
-
-        The active-set loop of :meth:`run`, exposed for the streaming
-        engine: seed ``dirty`` with the closed neighbourhood of a
-        topology event's fault sites (any superset of the enabled nodes
-        is sound — nodes outside it cannot change, by locality of the
-        guard) and the event is absorbed at its containment radius.
-        ``dirty=None`` marks everything dirty.  ``touched`` accumulates
-        movers into a length-``n`` bool array.  Returns ``(stabilized,
-        rounds, x, residual_dirty)``.
-
-        Frontier stepping keeps identical round semantics, with
-        per-round work proportional to the dirty set.  The gather-based
-        frontier step costs several times more per node than the flat
-        full scan, so dense rounds (a dirty set above n/16) fall back to
-        the full scan; a dirty superset is always sound, so dense
-        rounds simply mark every node dirty.  Tiny frontiers (at most
-        ``_SCALAR_MAX`` nodes) use the scalar loop; the dirty set may
-        be an ndarray or a sorted list, with identical contents.
-        """
-        dense = max(1, self.n // 16)
-        scalar_max = min(_SCALAR_MAX, dense - 1)
-        if dirty is None:
-            dirty = np.arange(self.n, dtype=np.int64)
-        rounds = 0
-        stabilized = False
-        while True:
-            if len(dirty) >= dense:
-                new_x = self.step(x)
-                movers = np.nonzero(new_x != x)[0]
-                vals = new_x[movers]
-                if movers.size == 0:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int((vals == 1).sum())
-                moves_by_rule["R2"] += int((vals == 0).sum())
-                x[movers] = vals
-                if touched is not None:
-                    touched[movers] = True
-                n_moved = movers.size
-            elif len(dirty) <= scalar_max:
-                rows = dirty if isinstance(dirty, list) else dirty.tolist()
-                movers, vals, c1, c2 = self._step_scalar(x, rows)
-                if not movers:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += c1
-                moves_by_rule["R2"] += c2
-                for i, v in zip(movers, vals):
-                    x[i] = v
-                    if touched is not None:
-                        touched[i] = True
-                n_moved = len(movers)
-            else:
-                if isinstance(dirty, list):
-                    dirty = np.asarray(dirty, dtype=np.int64)
-                new_vals = self._step_at(x, dirty)
-                changed = new_vals != x[dirty]
-                movers = dirty[changed]
-                vals = new_vals[changed]
-                if movers.size == 0:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int((vals == 1).sum())
-                moves_by_rule["R2"] += int((vals == 0).sum())
-                x[movers] = vals
-                if touched is not None:
-                    touched[movers] = True
-                n_moved = movers.size
-            rounds += 1
-            if n_moved >= dense:
-                dirty = np.arange(self.n, dtype=np.int64)
-            elif isinstance(movers, list):
-                indptr, indices = self._scalar_csr()
-                nxt = set(movers)
-                for i in movers:
-                    nxt.update(indices[indptr[i]:indptr[i + 1]])
-                dirty = sorted(nxt)
-            else:
-                dirty = closed_neighborhood(self._indptr, self._indices, movers)
-        return stabilized, rounds, x, dirty
+        return movers, vals, (c1, c2)
 
     def run(
         self,
@@ -305,7 +225,6 @@ class VectorizedSIS:
         *,
         max_rounds: Optional[int] = None,
         raise_on_timeout: bool = False,
-        active_set: bool = True,
     ) -> VectorResult:
         if config is None:
             x = np.zeros(self.n, dtype=np.uint8)
@@ -315,24 +234,7 @@ class VectorizedSIS:
             x = self.encode(config)
 
         budget = max_rounds if max_rounds is not None else self.n + 8
-        moves_by_rule = {"R1": 0, "R2": 0}
-        rounds = 0
-        stabilized = False
-        if active_set:
-            stabilized, rounds, x = self._run_active(x, budget, moves_by_rule)
-        else:
-            while True:
-                new_x = self.step(x)
-                changed = new_x != x
-                if not changed.any():
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int((changed & (new_x == 1)).sum())
-                moves_by_rule["R2"] += int((changed & (new_x == 0)).sum())
-                x = new_x
-                rounds += 1
+        stabilized, rounds, moves_by_rule, _ = drive(self, x, budget)
         result = VectorResult(
             stabilized=stabilized,
             rounds=rounds,
@@ -346,129 +248,21 @@ class VectorizedSIS:
             )
         return result
 
+    # ------------------------------------------------------------------
+    # in-place state surgery for fault campaigns and streams
+    # ------------------------------------------------------------------
+    @staticmethod
+    def perturb_one(x: np.ndarray, k: int, gen) -> None:
+        """Redraw node ``k``'s bit in place, draw for draw like
+        ``SynchronousMaximalIndependentSet.random_state``."""
+        x[k] = int(gen.integers(2))
+
+    @staticmethod
+    def drop_removed_links(x: np.ndarray, pairs) -> None:
+        """SIS states are bits that reference no neighbour, so a link
+        removal migrates nothing (``validate_state`` never consults the
+        graph)."""
+
     def independent_set(self, x: np.ndarray) -> frozenset[NodeId]:
         """In-set node ids of a dense state array."""
         return frozenset(int(self._ids[k]) for k in range(self.n) if x[k] == 1)
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def telemetry_run(protocol, kernel: VectorizedSIS, x: np.ndarray,
-                  budget: int, backend: str):
-    """Full-scan SIS run with per-round counter recording.
-
-    Mirrors the reference loop structure exactly, so rounds, moves and
-    the per-round telemetry counters are byte-identical with the
-    reference engine.  No node-type census — the Fig. 2 taxonomy is a
-    matching notion.  Returns ``(VectorResult, recorder)`` with the
-    recorder in its finalize phase.
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", backend, protocol.rule_names()
-    )
-    recorder.begin_rounds()
-    moves_by_rule = {"R1": 0, "R2": 0}
-    rounds = 0
-    stabilized = False
-    while True:
-        new_x = kernel.step(x)
-        changed = new_x != x
-        c1 = int((changed & (new_x == 1)).sum())
-        c2 = int((changed & (new_x == 0)).sum())
-        if c1 + c2 == 0:
-            stabilized = True
-            break
-        if rounds >= budget:
-            break
-        x = new_x
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        recorder.on_round({"R1": c1, "R2": c2}, kernel.n)
-    recorder.begin_finalize()
-    res = VectorResult(
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        final_x=x,
-    )
-    return res, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    active_set: bool = True,
-    telemetry: bool = False,
-    fault_plan=None,
-):
-    """Registered ``("sis", "synchronous", "vectorized")`` backend.
-
-    Same contract as the SMM adapter: reference-identical config
-    validation and default budget, summary-only
-    :class:`~repro.engine.result.RunResult`, legitimacy evaluated once
-    through ``protocol.is_legitimate``.  With ``telemetry=True`` the run
-    collects per-round rule counters into ``result.telemetry``.  With a
-    ``fault_plan`` the run executes as a segmented fault campaign on the
-    dense arrays (:mod:`repro.resilience.vector`), byte-identical in its
-    counters with the reference campaign.
-    """
-    if fault_plan is not None:
-        from repro.resilience.vector import run_vector_campaign
-
-        return run_vector_campaign(
-            protocol,
-            graph,
-            config,
-            fault_plan=fault_plan,
-            family="sis",
-            rng=rng,
-            max_rounds=max_rounds,
-            record_history=record_history,
-            raise_on_timeout=raise_on_timeout,
-            active_set=active_set,
-            telemetry=telemetry,
-        )
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = VectorizedSIS(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        res, recorder = telemetry_run(
-            protocol, kernel, kernel.encode(initial), budget, "vectorized"
-        )
-    else:
-        res = kernel.run(initial, max_rounds=budget, active_set=active_set)
-    final = kernel.decode(res.final_x)
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=res.stabilized,
-        rounds=res.rounds,
-        moves=res.moves,
-        moves_by_rule=res.moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="vectorized",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

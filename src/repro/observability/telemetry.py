@@ -74,10 +74,12 @@ class RunTelemetry:
         entry (zero-move rounds of randomized protocols are all-zero
         entries).  Byte-identical across backends.
     active_set_sizes:
-        ``active_set_sizes[t]`` is the number of nodes the backend
-        re-evaluated in round ``t + 1`` — a *diagnostic* of the
-        producing backend's stepping strategy (full scans report ``n``),
-        not a protocol property; backends legitimately differ here.
+        ``active_set_sizes[t]`` is the size of the dirty frontier the
+        backend stepped in round ``t + 1`` — a *diagnostic* of the
+        producing backend's stepping strategy (full scans report ``n``;
+        the kernels' driver scans every node once the frontier passes
+        n/16), not a protocol property; backends legitimately differ
+        here.
     node_type_census:
         For pointer-matching protocols: ``node_type_census[t]`` is the
         Fig. 2 histogram (keys :data:`CENSUS_KEYS`) of the configuration

@@ -48,11 +48,13 @@ it incrementally:
   :class:`SweepCancelled`.  Work already checkpointed stays
   checkpointed, so a cancelled job resumes exactly where it stopped.
 
-In resilient mode the runner additionally converts a ``SIGTERM`` (main
-thread, default disposition only) into :class:`SweepInterrupted`, so a
-killed process unwinds through its ``finally`` blocks: the checkpoint
-JSONL is flushed and closed, shared-memory segments are unlinked, and
-the exit code is the conventional ``128 + signum``.
+In resilient mode the runner additionally turns a ``SIGTERM`` (main
+thread, default disposition only) into a third stop reason next to
+``cancel`` and ``deadline``: the scheduler raises
+:class:`SweepInterrupted` at its next poll point, so a killed process
+unwinds through its ``finally`` blocks: the checkpoint JSONL is flushed
+and closed, shared-memory segments are unlinked, and the exit code is
+the conventional ``128 + signum``.
 
 Sweep fast paths
 ----------------
@@ -147,19 +149,32 @@ class SweepCancelled(RuntimeError):
 
 
 class SweepInterrupted(SystemExit):
-    """``SIGTERM`` during a resilient sweep, converted to an exception
-    so the sweep unwinds orderly — checkpoint flushed and closed,
-    shared-memory segments unlinked — before the process exits with the
-    conventional ``128 + signum`` status."""
+    """``SIGTERM`` during a resilient sweep, raised at the scheduler's
+    next poll point so the sweep unwinds orderly — checkpoint flushed
+    and closed, shared-memory segments unlinked — before the process
+    exits with the conventional ``128 + signum`` status."""
 
     def __init__(self, signum: int) -> None:
         super().__init__(128 + int(signum))
         self.signum = int(signum)
 
 
+#: Longest the resilient scheduler blocks between stop-reason checks.
+_POLL_SECONDS = 0.1
+
+
 @contextlib.contextmanager
-def _sigterm_unwinds():
-    """Convert ``SIGTERM`` into :class:`SweepInterrupted` for the block.
+def _sigterm_stops(runner: "TrialRunner"):
+    """Make ``SIGTERM`` a stop reason of ``runner`` for the block.
+
+    The handler only records the signal; the scheduler raises
+    :class:`SweepInterrupted` from its own poll loop.  Raising inside
+    the handler is not enough: the handler can run inside an at-fork
+    hook (logging's lock acquisition while an attempt forks), where
+    CPython prints "Exception ignored" and drops the exception.  A
+    signal that lands after the last poll still stops the sweep on the
+    way out of the block.  An attempt forked with the handler installed
+    dies of the signal as by default.
 
     Installed only in the main thread (signal handlers cannot be set
     elsewhere) and only when the signal's disposition is the default
@@ -179,15 +194,22 @@ def _sigterm_unwinds():
     if previous is not signal.SIG_DFL:
         yield
         return
+    owner = os.getpid()
+    runner._signalled = None
 
-    def _raise(signum, frame):
-        raise SweepInterrupted(signum)
+    def _stop(signum, frame):
+        if os.getpid() != owner:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        runner._signalled = signum
 
-    signal.signal(signal.SIGTERM, _raise)
+    signal.signal(signal.SIGTERM, _stop)
     try:
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+    runner._check_cancel()
 
 #: Process-wide defaults for the sweep fast paths, read by
 #: :class:`TrialRunner` when the corresponding keyword is omitted.  The
@@ -230,7 +252,7 @@ class TrialSpec:
     backend:
         Execution backend (:mod:`repro.engine`): ``"reference"`` (the
         default), ``"auto"``, or an explicit registered kernel such as
-        ``"vectorized"``/``"batch"``.
+        ``"vectorized"``.
     telemetry:
         Attach a :class:`~repro.observability.RunTelemetry` record to
         the trial's result.  Telemetry rides back through the ordinary
@@ -617,8 +639,9 @@ class TrialRunner:
     setting makes the sweep stop and raise :class:`SweepCancelled`.
     ``deadline`` is the same unwind on a clock instead of an event: an
     absolute ``time.time()`` timestamp after which the sweep stops with
-    ``SweepCancelled(reason="deadline")`` at the next trial boundary.
-    None of the three changes any result.
+    ``SweepCancelled(reason="deadline")`` at the next trial boundary
+    (in resilient mode, at the scheduler's next poll point, at most
+    :data:`_POLL_SECONDS` away).  None of the three changes any result.
     """
 
     def __init__(
@@ -662,6 +685,7 @@ class TrialRunner:
         if deadline is not None:
             deadline = float(deadline)
         self.deadline = deadline
+        self._signalled: Optional[int] = None  # SIGTERM seen (resilient mode)
 
     @property
     def resilient(self) -> bool:
@@ -679,6 +703,8 @@ class TrialRunner:
             self.on_result(index, outcome, resumed)
 
     def _cancel_reason(self) -> Optional[str]:
+        if self._signalled is not None:
+            return "signal"
         if self.cancel is not None and self.cancel.is_set():
             return "cancel"
         if self.deadline is not None and time.time() > self.deadline:
@@ -687,6 +713,8 @@ class TrialRunner:
 
     def _check_cancel(self) -> None:
         reason = self._cancel_reason()
+        if reason == "signal":
+            raise SweepInterrupted(self._signalled)
         if reason == "cancel":
             raise SweepCancelled("sweep cancelled by owner")
         if reason == "deadline":
@@ -760,7 +788,7 @@ class TrialRunner:
                 # batching never applies here, so indices line up; a
                 # SIGTERM unwinds through the finally below (checkpoint
                 # closed, segments unlinked) instead of killing us cold
-                with _sigterm_unwinds():
+                with _sigterm_stops(self):
                     outcomes, attempts, resumed = self._map_resilient(
                         rest, traced=traced
                     )
@@ -1002,17 +1030,22 @@ class TrialRunner:
                 )
             if not running:
                 # everything is backing off: sleep to the earliest retry
-                time.sleep(max(0.0, backing_off[0][0] - time.monotonic()))
+                # (in slices, so a stop reason is seen while waiting)
+                time.sleep(
+                    min(
+                        _POLL_SECONDS,
+                        max(0.0, backing_off[0][0] - time.monotonic()),
+                    )
+                )
                 continue
             wake_points = [
                 att.deadline for att in running.values() if att.deadline is not None
             ]
             if backing_off:
                 wake_points.append(backing_off[0][0])
-            wait_for = (
-                None
-                if not wake_points
-                else max(0.0, min(wake_points) - time.monotonic())
+            wait_for = min(
+                [_POLL_SECONDS]
+                + [max(0.0, w - time.monotonic()) for w in wake_points]
             )
             ready = _connection_wait(list(running), timeout=wait_for)
             for conn in ready:

@@ -6,8 +6,10 @@ events — executed by a backend adapter, stitched together here with the
 global round accounting, the telemetry recording and the per-event
 recovery metrics.  The adapter interface is tiny:
 
-* ``run_segment(budget)`` — advance the run up to ``budget`` rounds or
-  quiescence, reporting per-round counters and the touched nodes;
+* ``run_segment(budget, recorder=None)`` — advance the run up to
+  ``budget`` rounds or quiescence, feeding each round's counters to
+  ``recorder`` (a :class:`~repro.observability.TelemetryRecorder`) when
+  one is given, and report the segment's totals and touched nodes;
 * ``apply(event, gen)`` — apply one fault event to the live state,
   returning the fault sites;
 * ``graph`` / ``config()`` — the current topology and configuration.
@@ -243,9 +245,7 @@ class Segment:
 
     rounds: int
     stabilized: bool
-    per_round: List[Dict[str, int]]
-    active_sizes: List[int]
-    census: Optional[List[Dict[str, int]]]
+    moves_by_rule: Dict[str, int]
     touched: frozenset
     move_log: Optional[List[Dict[NodeId, str]]] = None
     history: Optional[List[Configuration]] = None
@@ -254,10 +254,7 @@ class Segment:
 def _recovery_record(
     graph: Graph, index: int, event: FaultEvent, sites, seg: Segment
 ) -> Dict[str, object]:
-    moves_by_rule: Dict[str, int] = {}
-    for entry in seg.per_round:
-        for name, count in entry.items():
-            moves_by_rule[name] = moves_by_rule.get(name, 0) + count
+    moves_by_rule = seg.moves_by_rule
     radius = None
     if sites and seg.touched:
         radius = containment_radius(graph, set(sites), seg.touched)
@@ -299,7 +296,6 @@ def drive_campaign(
     initial_census = adapter.initial_census()
     if initial_census is not None:
         recorder.record_census(initial_census)
-    last_census = initial_census
     recorder.begin_rounds()
 
     traces = getattr(adapter, "traces", False)
@@ -316,15 +312,9 @@ def drive_campaign(
     i = 0
     while True:
         target = events[i].round if i < len(events) else None
-        seg = adapter.run_segment((budget if target is None else target) - elapsed)
-        for t in range(seg.rounds):
-            recorder.on_round(
-                seg.per_round[t],
-                seg.active_sizes[t],
-                seg.census[t] if seg.census is not None else None,
-            )
-        if seg.census:
-            last_census = seg.census[-1]
+        seg = adapter.run_segment(
+            (budget if target is None else target) - elapsed, recorder
+        )
         if move_log is not None and seg.move_log is not None:
             move_log.extend(seg.move_log)
         if history is not None and seg.history is not None:
@@ -356,6 +346,7 @@ def drive_campaign(
             break
         # idle fill: the system is quiescent but rounds keep ticking
         # until the event fires (beacons are still exchanged)
+        last_census = None if recorder.census is None else recorder.census[-1]
         for _ in range(target - elapsed):
             recorder.on_round({}, 0, last_census)
             if move_log is not None:
@@ -415,7 +406,7 @@ class _ReferenceAdapter:
     def config(self) -> Configuration:
         return self.current
 
-    def run_segment(self, budget: int) -> Segment:
+    def run_segment(self, budget: int, recorder=None) -> Segment:
         from repro.core.executor import run_synchronous
 
         ex = run_synchronous(
@@ -425,20 +416,26 @@ class _ReferenceAdapter:
             rng=self.gen,
             max_rounds=budget,
             record_history=self.record_history,
-            telemetry=True,
+            telemetry=recorder is not None,
             active_set=self.active_set,
         )
         self.current = ex.final
+        if recorder is not None:
+            tele = ex.telemetry
+            census = tele.node_type_census
+            for t in range(ex.rounds):
+                recorder.on_round(
+                    tele.per_round_moves[t],
+                    tele.active_set_sizes[t],
+                    None if census is None else census[t + 1],
+                )
         touched = set()
         for entry in ex.move_log:
             touched.update(entry)
-        census = ex.telemetry.node_type_census
         return Segment(
             rounds=ex.rounds,
             stabilized=ex.stabilized,
-            per_round=ex.telemetry.per_round_moves,
-            active_sizes=ex.telemetry.active_set_sizes,
-            census=None if census is None else census[1:],
+            moves_by_rule=ex.moves_by_rule,
             touched=frozenset(touched),
             move_log=ex.move_log,
             history=ex.history,

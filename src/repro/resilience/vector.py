@@ -1,22 +1,24 @@
-"""Fault campaigns on the vectorized SMM/SIS kernels.
+"""Fault campaigns and streams on the vectorized SMM/SIS kernels.
 
-The campaign driver (:mod:`repro.resilience.campaign`) is backend
-agnostic; this module supplies the adapter that keeps campaign segments
-on the NumPy fast path.  Segments run the same full-scan loop as the
-kernels' ``telemetry_run`` (step → zero-fire stabilized break → budget
-break → apply and count), so every counter is byte-identical with the
-reference engine.
+The campaign driver (:mod:`repro.resilience.campaign`) and the streaming
+engine (:mod:`repro.streaming.engine`) are backend agnostic; this module
+supplies the one adapter that keeps their segments on the NumPy fast
+path.  A segment is a :func:`repro.kernels.drive` call whose dirty
+frontier is seeded at the closed neighbourhood of the last event's
+fault sites, so every counter is byte-identical with the reference
+engine while recovery costs the containment radius, not ``n``.
 
 Fault events apply at the array level where possible: ``perturb`` and
 ``message_dup`` redraw victim states directly on the dense array,
 mirroring the reference path draw for draw — victims come from the same
 ``gen.choice`` over dense indices (:func:`~repro.core.faults.perturb_victims`
 maps them to ids; here they *are* the array positions), and each
-victim's redraw consumes the identical generator calls
-(``integers(deg + 1)`` against the CSR row for SMM — CSR rows and
-``Graph.neighbors`` share their ascending order — and ``integers(2)``
-for SIS).  Topology-changing events (``churn``/``crash``/``rejoin``)
-and ``message_loss`` decode to a configuration, go through the shared
+victim's redraw consumes the identical generator calls (the kernels'
+``perturb_one``).  Explicit-edge churn patches the cached CSR
+incrementally (:meth:`~repro.graphs.graph.Graph.with_updates`) and
+migrates the state with an O(changed links) pointer reset.  The other
+topology-changing events (random ``churn``, ``crash``, ``rejoin``) and
+``message_loss`` decode to a configuration, go through the shared
 :class:`~repro.resilience.campaign.CampaignRuntime`, and re-encode
 (rebuilding the kernel when the graph changed); they are rare
 round-boundary operations, so the O(n) decode does not matter.
@@ -28,192 +30,125 @@ from typing import Optional
 
 import numpy as np
 
+from repro.analysis.containment import edge_fault_sites
 from repro.graphs.graph import Graph
-from repro.resilience.campaign import (
-    CampaignRuntime,
-    Segment,
-    drive_campaign,
-    select_victims,
-)
+from repro.kernels import closed_neighborhood, drive, observer, run_engine
+from repro.resilience.campaign import CampaignRuntime, Segment, select_victims
 from repro.resilience.plan import FaultEvent, FaultPlan
 
-__all__ = ["run_vector_campaign"]
+__all__ = ["VectorAdapter", "run_vector_campaign"]
 
 
-class _SMMFamily:
-    """VectorizedSMM hooks for the campaign adapter."""
+class VectorAdapter:
+    """Campaign and stream adapter on a vectorized kernel.
 
-    has_census = True
+    Recovery segments step only the dirty frontier: after an event the
+    frontier is ``N[sites ∪ rewritten]`` — the closed neighbourhood of
+    the fault sites and of every node whose state the event rewrote.
+    That is a superset of the enabled nodes after any event applied to
+    a quiescent configuration, because every guard reads only its
+    node's adjacency row and closed neighbourhood, and an event changes
+    exactly the sites' rows and the rewritten nodes' states.  If the
+    previous window ended before quiescence its residual dirty set is
+    unioned in, preserving the dirty-superset invariant of
+    :func:`~repro.kernels.drive` across events.
+    """
 
-    @staticmethod
-    def make(graph: Graph):
-        from repro.matching.smm_vectorized import VectorizedSMM
-
-        return VectorizedSMM(graph)
-
-    @staticmethod
-    def encode(kernel, config):
-        return kernel.encode(config)
-
-    @staticmethod
-    def decode(kernel, state):
-        return kernel.decode(state)
-
-    @staticmethod
-    def step_stats(kernel, ptr):
-        new_ptr, r1, r2, r3 = kernel.step(ptr)
-        counts = {"R1": int(r1.sum()), "R2": int(r2.sum()), "R3": int(r3.sum())}
-        return new_ptr, counts, r1 | r2 | r3
-
-    @staticmethod
-    def census(kernel, ptr):
-        return kernel.census(ptr)
-
-    @staticmethod
-    def perturb_one(kernel, ptr, k: int, gen) -> None:
-        # mirrors SynchronousMaximalMatching.random_state: the option
-        # list is [None, *neighbors] and one integers(deg + 1) draw
-        # picks from it; CSR rows share the neighbour order
-        start, stop = int(kernel._indptr[k]), int(kernel._indptr[k + 1])
-        j = int(gen.integers(stop - start + 1))
-        ptr[k] = -1 if j == 0 else int(kernel._indices[start + j - 1])
-
-    @staticmethod
-    def drop_removed_links(ptr, pairs) -> None:
-        # mirrors sanitize_state across an explicit-edge churn: a valid
-        # pointer only turns invalid when its own link is removed, so
-        # resetting the endpoints of removed edges equals the full
-        # migrate_configuration sweep (pairs are dense index tuples)
-        from repro.kernels import SMM_NULL
-
-        for ku, kv in pairs:
-            if ptr[ku] == kv:
-                ptr[ku] = SMM_NULL
-            if ptr[kv] == ku:
-                ptr[kv] = SMM_NULL
-
-
-class _SISFamily:
-    """VectorizedSIS hooks for the campaign adapter."""
-
-    has_census = False
-
-    @staticmethod
-    def make(graph: Graph):
-        from repro.mis.sis_vectorized import VectorizedSIS
-
-        return VectorizedSIS(graph)
-
-    @staticmethod
-    def encode(kernel, config):
-        return kernel.encode(config)
-
-    @staticmethod
-    def decode(kernel, state):
-        return kernel.decode(state)
-
-    @staticmethod
-    def step_stats(kernel, x):
-        new_x = kernel.step(x)
-        changed = new_x != x
-        counts = {
-            "R1": int((changed & (new_x == 1)).sum()),
-            "R2": int((changed & (new_x == 0)).sum()),
-        }
-        return new_x, counts, changed
-
-    @staticmethod
-    def census(kernel, x):
-        return None
-
-    @staticmethod
-    def perturb_one(kernel, x, k: int, gen) -> None:
-        # mirrors SynchronousMaximalIndependentSet.random_state
-        x[k] = int(gen.integers(2))
-
-    @staticmethod
-    def drop_removed_links(x, pairs) -> None:
-        # SIS states are bits, topology-independent: migration is the
-        # identity (validate_state never consults the graph)
-        del x, pairs
-
-
-_FAMILIES = {"smm": _SMMFamily, "sis": _SISFamily}
-
-
-class _VectorAdapter:
     traces = False
 
-    def __init__(self, protocol, graph: Graph, initial, family) -> None:
+    def __init__(self, protocol, graph: Graph, initial, kernel_cls) -> None:
         self.protocol = protocol
         self.graph = graph
-        self.family = family
-        self.kernel = family.make(graph)
-        self.state = family.encode(self.kernel, initial)
+        self.kernel = kernel_cls(graph)
+        self.state = self.kernel.encode(initial)
         self.runtime = CampaignRuntime()
+        self._dirty = None  # None = everything dirty (initial settle)
+        self._settled = False
 
     def initial_census(self):
-        if not self.family.has_census:
-            return None
-        return self.family.census(self.kernel, self.state)
+        census = getattr(self.kernel, "census", None)
+        return None if census is None else census(self.state)
 
     def config(self):
-        return self.family.decode(self.kernel, self.state)
+        return self.kernel.decode(self.state)
 
-    def run_segment(self, budget: int) -> Segment:
-        family, kernel = self.family, self.kernel
-        state = self.state
-        per_round = []
-        active_sizes = []
-        census = [] if family.has_census else None
+    def run_segment(self, budget: int, recorder=None) -> Segment:
+        kernel = self.kernel
         touched = np.zeros(kernel.n, dtype=bool)
-        rounds = 0
-        stabilized = False
-        while True:
-            new_state, counts, fired = family.step_stats(kernel, state)
-            if sum(counts.values()) == 0:
-                stabilized = True
-                break
-            if rounds >= budget:
-                break
-            state = new_state
-            rounds += 1
-            touched |= fired
-            per_round.append(counts)
-            active_sizes.append(kernel.n)
-            if census is not None:
-                census.append(family.census(kernel, state))
-        self.state = state
-        ids = kernel._ids
-        touched_ids = frozenset(
-            int(ids[k]) for k in np.nonzero(touched)[0]
+        on_round = None if recorder is None else observer(recorder, kernel)
+        self._settled, rounds, moves, self._dirty = drive(
+            kernel,
+            self.state,
+            budget,
+            dirty=self._dirty,
+            touched=touched,
+            on_round=on_round,
         )
+        ids = kernel._ids
         return Segment(
             rounds=rounds,
-            stabilized=stabilized,
-            per_round=per_round,
-            active_sizes=active_sizes,
-            census=census,
-            touched=touched_ids,
+            stabilized=self._settled,
+            moves_by_rule=moves,
+            touched=frozenset(int(ids[k]) for k in np.nonzero(touched)[0]),
         )
 
     def apply(self, event: FaultEvent, gen):
+        index = self.graph.dense_index()
+        rewritten = ()
         if event.kind in ("perturb", "message_dup"):
             # array fast path, draw-for-draw identical to the dict path
-            victims = select_victims(self.graph, event, gen)
-            index = self.graph.dense_index()
-            for node in victims:
-                self.family.perturb_one(self.kernel, self.state, index[node], gen)
-            return victims
-        config = self.family.decode(self.kernel, self.state)
-        graph, config, sites = self.runtime.apply(
-            self.protocol, self.graph, config, event, gen
-        )
-        if graph is not self.graph:
-            self.graph = graph
-            self.kernel = self.family.make(graph)
-        self.state = self.family.encode(self.kernel, config)
+            sites = select_victims(self.graph, event, gen)
+            for node in sites:
+                self.kernel.perturb_one(self.state, index[node], gen)
+        elif event.kind == "churn" and (event.add_edges or event.remove_edges):
+            # explicit-edge fast path: patch the cached CSR in place and
+            # migrate the dense state without a decode/encode round trip
+            graph = self.graph.with_updates(
+                add_edges=event.add_edges, remove_edges=event.remove_edges
+            )
+            self.kernel.drop_removed_links(
+                self.state,
+                [
+                    (index[u], index[v])
+                    for u, v in event.remove_edges
+                    if not graph.has_edge(u, v)  # re-added in one event
+                ],
+            )
+            self._rebuild(graph)
+            changed = (*event.add_edges, *event.remove_edges)
+            sites = tuple(sorted(edge_fault_sites(changed)))
+        else:
+            # rare structural events: decode, shared runtime, re-encode
+            before = self.state
+            graph, config, sites = self.runtime.apply(
+                self.protocol, self.graph, self.kernel.decode(before), event, gen
+            )
+            if graph is not self.graph:
+                self._rebuild(graph)
+            self.state = self.kernel.encode(config)
+            # message loss rewrites the victims' neighbours, not the sites
+            rewritten = np.nonzero(self.state != before)[0]
+        self._seed(sites, rewritten)
         return sites
+
+    def _rebuild(self, graph: Graph) -> None:
+        self.graph = graph
+        self.kernel = type(self.kernel)(graph)
+
+    def _seed(self, sites, rewritten) -> None:
+        index = self.graph.dense_index()
+        rows = np.concatenate(
+            (
+                np.fromiter(
+                    (index[int(s)] for s in sites), dtype=np.int64, count=len(sites)
+                ),
+                np.asarray(rewritten, dtype=np.int64),
+            )
+        )
+        seed = closed_neighborhood(self.kernel._indptr, self.kernel._indices, rows)
+        if not self._settled and self._dirty is not None:
+            seed = np.union1d(seed, np.asarray(self._dirty, dtype=np.int64))
+        self._dirty = seed
 
 
 def run_vector_campaign(
@@ -230,44 +165,24 @@ def run_vector_campaign(
     active_set: bool = True,
     telemetry: bool = False,
 ):
-    """Run a fault campaign on a vectorized kernel family.
+    """Run a fault campaign on the ``family`` (``"smm"``/``"sis"``)
+    vectorized kernel — :func:`repro.kernels.run_engine` with a
+    ``fault_plan``.  Campaigns always collect telemetry, whatever the
+    ``telemetry`` flag says."""
+    from repro.matching.smm_vectorized import VectorizedSMM
+    from repro.mis.sis_vectorized import VectorizedSIS
 
-    The kernels' ``run_engine`` adapters delegate here when
-    ``fault_plan`` is given.  ``rng`` / ``record_history`` /
-    ``active_set`` / ``telemetry`` are accepted for the uniform runner
-    signature: SMM/SIS consume no daemon randomness, selection degrades
-    history requests to the reference backend, segments are full scans
-    (telemetry wants per-round counters anyway), and campaigns always
-    collect telemetry.
-    """
-    del rng, record_history, active_set, telemetry
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-    from repro.errors import StabilizationTimeout
-
-    initial = _resolve_config(protocol, graph, config)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    adapter = _VectorAdapter(protocol, graph, initial, _FAMILIES[family])
-    summary, tele = drive_campaign(
-        protocol, adapter, fault_plan, budget=budget, backend="vectorized"
+    kernel_cls = {"smm": VectorizedSMM, "sis": VectorizedSIS}[family]
+    return run_engine(
+        kernel_cls,
+        protocol,
+        graph,
+        config,
+        rng=rng,
+        max_rounds=max_rounds,
+        record_history=record_history,
+        raise_on_timeout=raise_on_timeout,
+        active_set=active_set,
+        telemetry=telemetry,
+        fault_plan=fault_plan,
     )
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=summary["stabilized"],
-        rounds=summary["rounds"],
-        moves=summary["moves"],
-        moves_by_rule=summary["moves_by_rule"],
-        initial=initial,
-        final=summary["final"],
-        legitimate=summary["legitimate"],
-        backend="vectorized",
-        telemetry=tele,
-    )
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds "
-            f"(fault campaign)",
-            result,
-        )
-    return result

@@ -1,15 +1,14 @@
 """Equivalence tests for the active-set ("dirty node") round stepping.
 
 The optimization in :func:`repro.core.executor.run_synchronous` and in
-the vectorized kernels re-evaluates only nodes whose closed
-neighbourhood changed since the previous round.  These tests pin the
-optimized paths to the full-scan reference: for every graph, start
-configuration, and budget, the two must produce *identical* Execution
-records — same histories, same move logs, same per-rule counts — not
-merely the same fixpoint.
+the vectorized kernels' round driver (:func:`repro.kernels.drive`)
+re-evaluates only nodes whose closed neighbourhood changed since the
+previous round.  These tests pin the optimized paths to the reference
+executor's full scan: for every graph, start configuration, and budget,
+the two must produce *identical* records — same histories, same move
+logs, same per-rule counts — not merely the same fixpoint.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -117,51 +116,52 @@ class TestExecutorActiveSet:
 
 
 class TestVectorizedActiveSet:
+    """The kernels' frontier stepping (:func:`repro.kernels.drive`)
+    against the reference executor's full scan — the oracle."""
+
+    @staticmethod
+    def assert_smm_matches(vec, full, fast):
+        assert full.rounds == fast.rounds
+        assert full.moves == fast.moves
+        assert full.moves_by_rule == fast.moves_by_rule
+        assert full.stabilized == fast.stabilized
+        assert full.final == vec.decode(fast.final_ptr)
+
     @settings(max_examples=30, deadline=None)
     @given(graphs_with_pointers(min_n=2, max_n=10))
     def test_smm_kernel(self, graph_and_config):
         g, cfg = graph_and_config
         vec = VectorizedSMM(g)
-        full = vec.run(cfg, active_set=False)
-        fast = vec.run(cfg, active_set=True)
-        assert full.rounds == fast.rounds
-        assert full.moves == fast.moves
-        assert full.moves_by_rule == fast.moves_by_rule
-        assert full.stabilized == fast.stabilized
-        assert vec.decode(full.final_ptr) == vec.decode(fast.final_ptr)
+        full = run_synchronous(SMM, g, cfg, active_set=False)
+        self.assert_smm_matches(vec, full, vec.run(cfg))
 
     @settings(max_examples=30, deadline=None)
     @given(graphs_with_bits(min_n=2, max_n=10))
     def test_sis_kernel(self, graph_and_config):
         g, cfg = graph_and_config
         vec = VectorizedSIS(g)
-        full = vec.run(cfg, active_set=False)
-        fast = vec.run(cfg, active_set=True)
+        full = run_synchronous(SIS, g, cfg, active_set=False)
+        fast = vec.run(cfg)
         assert full.rounds == fast.rounds
         assert full.moves == fast.moves
         assert full.stabilized == fast.stabilized
-        assert np.array_equal(full.final_x, fast.final_x)
+        assert full.final == vec.decode(fast.final_x)
 
     def test_smm_kernel_budget(self, rng):
         g = cycle_graph(12)
         cfg = random_configuration(SMM, g, rng)
         vec = VectorizedSMM(g)
         for budget in (0, 1, 2):
-            full = vec.run(cfg, max_rounds=budget, active_set=False)
-            fast = vec.run(cfg, max_rounds=budget, active_set=True)
-            assert full.rounds == fast.rounds
-            assert full.stabilized == fast.stabilized
-            assert vec.decode(full.final_ptr) == vec.decode(fast.final_ptr)
+            full = run_synchronous(SMM, g, cfg, max_rounds=budget, active_set=False)
+            self.assert_smm_matches(vec, full, vec.run(cfg, max_rounds=budget))
 
     def test_smm_kernel_large(self, rng):
         for seed in range(3):
             g = erdos_renyi_graph(64, 0.06, rng=seed)
             cfg = random_configuration(SMM, g, rng)
             vec = VectorizedSMM(g)
-            full = vec.run(cfg, active_set=False)
-            fast = vec.run(cfg, active_set=True)
-            assert full.moves_by_rule == fast.moves_by_rule
-            assert vec.decode(full.final_ptr) == vec.decode(fast.final_ptr)
+            full = run_synchronous(SMM, g, cfg, active_set=False)
+            self.assert_smm_matches(vec, full, vec.run(cfg))
 
     def test_sis_kernel_cascade(self):
         # the Θ(n) worst case — long sparse frontier, where the active
@@ -169,10 +169,11 @@ class TestVectorizedActiveSet:
         g = path_graph(96)
         vec = VectorizedSIS(g)
         cfg = {i: 0 for i in g.nodes}
-        full = vec.run(cfg, active_set=False)
-        fast = vec.run(cfg, active_set=True)
+        full = run_synchronous(SIS, g, cfg, active_set=False)
+        fast = vec.run(cfg)
         assert full.rounds == fast.rounds
-        assert np.array_equal(full.final_x, fast.final_x)
+        assert full.moves_by_rule == fast.moves_by_rule
+        assert full.final == vec.decode(fast.final_x)
 
 
 class TestE3StyleHistories:

@@ -7,7 +7,9 @@ must reproduce the reference engine's final configuration, round count,
 per-rule move counts and legitimacy verdict exactly — over several
 graph families, several seeds, and the degenerate graphs (empty, single
 node, disconnected).  The backend list is read from the registry, so a
-newly registered kernel is swept automatically.
+newly registered kernel is swept automatically.  The batch kernels are
+no engine backend; their summary cases run through batch-sweep
+dispatch instead (:func:`run_on`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi_graph,
     grid_graph,
+    path_graph,
     random_tree,
 )
 from repro.graphs.graph import Graph
@@ -37,6 +40,11 @@ KERNEL_CASES = [
     for backend in backends_for(key, "synchronous")
     if backend.name != "reference"
 ]
+
+#: the registry's kernels plus the batch kernels, which run only through
+#: batch-sweep dispatch (summary fields only: batch rows record no
+#: telemetry)
+SUMMARY_CASES = KERNEL_CASES + [(key, "batch") for key in ("smm", "sis")]
 
 FAMILIES = ("cycle", "tree", "grid", "er")
 SEEDS = (0, 1, 2)
@@ -53,6 +61,22 @@ def make_graph(family: str, seed: int) -> Graph:
     return erdos_renyi_graph(12, 0.35, rng)
 
 
+def run_on(key, graph, config=None, *, backend, rng=None, max_rounds=None):
+    """``run`` on one backend.  ``"batch"`` is no engine backend: the
+    case runs as a batch-sweep group of two identical ``backend="auto"``
+    specs, and both rows must come back labelled ``"batch"``."""
+    if backend != "batch":
+        return run(
+            key, graph, config, backend=backend, rng=rng, max_rounds=max_rounds
+        )
+    from repro.parallel import TrialSpec, run_trials
+
+    spec = TrialSpec(key, graph, config, backend="auto", max_rounds=max_rounds)
+    result, twin = run_trials([spec, spec], jobs=1)
+    assert result.backend == twin.backend == "batch"
+    return result
+
+
 def assert_equivalent(reference, result):
     assert result.stabilized == reference.stabilized
     assert result.rounds == reference.rounds
@@ -65,24 +89,24 @@ def assert_equivalent(reference, result):
 class TestKernelEquivalence:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
     def test_backend_matches_reference(self, key, backend, family, seed):
         graph = make_graph(family, seed)
         protocol = make_protocol(key)
         config = random_configuration(protocol, graph, ensure_rng(seed))
         reference = run(key, graph, config, backend="reference", rng=seed)
-        result = run(key, graph, config, backend=backend, rng=seed)
+        result = run_on(key, graph, config, backend=backend, rng=seed)
         assert result.backend == backend
         assert_equivalent(reference, result)
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
     def test_clean_start_matches_reference(self, key, backend):
         graph = cycle_graph(9)
         reference = run(key, graph, backend="reference", rng=7)
-        result = run(key, graph, backend=backend, rng=7)
+        result = run_on(key, graph, backend=backend, rng=7)
         assert_equivalent(reference, result)
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
     def test_timeout_accounting_matches_reference(self, key, backend):
         # a budget of 1 round times out on graphs that need more; both
         # engines must report the same rounds/stabilized/final
@@ -92,8 +116,20 @@ class TestKernelEquivalence:
         reference = run(
             key, graph, config, backend="reference", rng=5, max_rounds=1
         )
-        result = run(key, graph, config, backend=backend, rng=5, max_rounds=1)
+        result = run_on(key, graph, config, backend=backend, rng=5, max_rounds=1)
         assert_equivalent(reference, result)
+
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
+    def test_zero_budget_matches_reference(self, key, backend):
+        graph = erdos_renyi_graph(14, 0.3, rng=9)
+        protocol = make_protocol(key)
+        config = random_configuration(protocol, graph, ensure_rng(6))
+        reference = run(
+            key, graph, config, backend="reference", rng=6, max_rounds=0
+        )
+        result = run_on(key, graph, config, backend=backend, rng=6, max_rounds=0)
+        assert_equivalent(reference, result)
+        assert result.rounds == 0
 
 
 class TestTelemetryEquivalence:
@@ -157,6 +193,27 @@ class TestTelemetryEquivalence:
             ref_c, sort_keys=True
         )
         assert_equivalent(reference, result)
+
+    def test_telemetry_steps_the_frontier(self):
+        """Telemetry observes the frontier stepping instead of forcing a
+        full scan: a one-flip recovery on a stable path evaluates a
+        handful of nodes per round, with reference-identical counters."""
+        from repro.mis.sis_vectorized import VectorizedSIS
+
+        graph = path_graph(256)
+        kernel = VectorizedSIS(graph)
+        stable = kernel.decode(kernel.run().final_x)
+        config = stable.updated({128: 1 - stable[128]})
+        reference = run(
+            "sis", graph, config, backend="reference", telemetry=True
+        )
+        result = run("sis", graph, config, backend="vectorized", telemetry=True)
+        ref_t, res_t = reference.telemetry, result.telemetry
+        assert res_t.rounds > 2
+        assert res_t.per_round_moves == ref_t.per_round_moves
+        assert res_t.moves_by_rule == ref_t.moves_by_rule
+        assert_equivalent(reference, result)
+        assert max(res_t.active_set_sizes[1:]) < graph.n
 
     @pytest.mark.parametrize("key", ("smm", "sis"))
     def test_auto_with_telemetry_selects_vectorized(self, key):
@@ -241,22 +298,22 @@ class TestMetricsEquivalence:
 
 
 class TestDegenerateGraphs:
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
     def test_empty_graph(self, key, backend):
         graph = Graph([], [])
         reference = run(key, graph, backend="reference", rng=0)
-        result = run(key, graph, backend=backend, rng=0)
+        result = run_on(key, graph, backend=backend, rng=0)
         assert_equivalent(reference, result)
         assert result.stabilized and result.rounds == 0
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
     def test_single_node(self, key, backend):
         graph = Graph([3], [])
         reference = run(key, graph, backend="reference", rng=0)
-        result = run(key, graph, backend=backend, rng=0)
+        result = run_on(key, graph, backend=backend, rng=0)
         assert_equivalent(reference, result)
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", SUMMARY_CASES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_disconnected_components(self, key, backend, seed):
         # two triangles, an edge, and an isolated node
@@ -267,7 +324,7 @@ class TestDegenerateGraphs:
         protocol = make_protocol(key)
         config = random_configuration(protocol, graph, ensure_rng(seed))
         reference = run(key, graph, config, backend="reference", rng=seed)
-        result = run(key, graph, config, backend=backend, rng=seed)
+        result = run_on(key, graph, config, backend=backend, rng=seed)
         assert_equivalent(reference, result)
 
 
@@ -330,14 +387,43 @@ class TestFaultCampaignEquivalence:
         assert result.telemetry.fault_events is not None
 
     def test_fault_plan_degrades_unsupporting_backend(self):
-        # the batch kernel does not implement fault campaigns: the
-        # static helper degrades it, the explicit request raises
+        # no "batch" engine backend exists (batch kernels only run
+        # through batch-sweep dispatch): the static helper degrades the
+        # name, the explicit request raises
         plan = FaultPlan(events=(FaultEvent(round=3, kind="perturb"),))
         assert fallback_backend("smm", backend="batch", fault_plan=plan) == (
             "reference"
         )
         with pytest.raises(ExperimentError):
             run("smm", cycle_graph(8), backend="batch", rng=0, fault_plan=plan)
+
+    def test_message_loss_seeds_rewritten_neighbours(self):
+        """Message loss rewrites the victims' neighbours, not the sites:
+        on a stable path whose node 2 is unmatched, losing node 0's
+        beacons frees node 1, and node 2 — two hops from the site —
+        must move in the same round.  Campaigns and streams seed their
+        frontier with every rewritten node's closed neighbourhood."""
+        from repro.streaming import run_stream
+
+        graph = path_graph(64)
+        config = {0: 1, 1: 0, 2: None, 63: None}
+        for a in range(3, 63, 2):
+            config[a], config[a + 1] = a + 1, a
+        plan = FaultPlan(
+            events=(FaultEvent(round=2, kind="message_loss", nodes=(0,)),),
+            seed=1,
+        )
+        reference = run("smm", graph, config, backend="reference", fault_plan=plan)
+        result = run("smm", graph, config, backend="vectorized", fault_plan=plan)
+        [record] = reference.telemetry.fault_events
+        assert record["moves_by_rule"] == {"R1": 1, "R2": 1, "R3": 1}
+        assert result.telemetry.fault_events == reference.telemetry.fault_events
+        assert result.telemetry.per_round_moves == reference.telemetry.per_round_moves
+        streams = [
+            run_stream("smm", graph, plan, backend=b, config=config).counters()
+            for b in ("reference", "vectorized")
+        ]
+        assert streams[0] == streams[1]
 
     def test_empty_plan_matches_plain_run(self):
         # an event-free campaign is still a campaign (telemetry, the
@@ -356,7 +442,7 @@ class TestFaultCampaignEquivalence:
 
 class TestInvalidConfigurations:
     @pytest.mark.parametrize(
-        "backend", [b.name for b in backends_for("smm", "synchronous")]
+        "backend", [b.name for b in backends_for("smm", "synchronous")] + ["batch"]
     )
     def test_invalid_pointer_rejected_by_every_backend(self, backend):
         # a pointer to a non-neighbour is outside SMM's state space;
@@ -366,17 +452,17 @@ class TestInvalidConfigurations:
         bad = {node: None for node in graph.nodes}
         bad[0] = 3  # not adjacent on C_6
         with pytest.raises(InvalidConfigurationError):
-            run("smm", graph, bad, backend=backend)
+            run_on("smm", graph, bad, backend=backend)
 
     @pytest.mark.parametrize(
-        "backend", [b.name for b in backends_for("sis", "synchronous")]
+        "backend", [b.name for b in backends_for("sis", "synchronous")] + ["batch"]
     )
     def test_invalid_bit_rejected_by_every_backend(self, backend):
         graph = cycle_graph(6)
         bad = {node: 0 for node in graph.nodes}
         bad[0] = 7  # not a 0/1 state
         with pytest.raises(InvalidConfigurationError):
-            run("sis", graph, bad, backend=backend)
+            run_on("sis", graph, bad, backend=backend)
 
 
 class TestPackedStateLayout:

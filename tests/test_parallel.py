@@ -512,3 +512,59 @@ class TestOwnerHooks:
         with pytest.raises(SweepCancelled) as excinfo:
             runner.map(self._specs())
         assert excinfo.value.reason == "cancel"
+
+
+class TestSigtermDuringFork:
+    """SIGTERM delivered while a resilient sweep forks an attempt.
+
+    The signal handler can run inside an at-fork hook (logging's lock
+    acquisition is one), where CPython prints "Exception ignored" and
+    drops any exception the handler raises.  The runner must still stop
+    with the conventional 128 + SIGTERM status instead of finishing the
+    sweep and exiting 0.
+    """
+
+    _SCRIPT = """
+import os, signal, sys
+from repro.graphs.generators import cycle_graph
+from repro.parallel import TrialRunner, TrialSpec
+
+forks = 0
+
+def before():
+    global forks
+    forks += 1
+    if forks == 3:
+        os.kill(os.getpid(), signal.SIGTERM)
+
+os.register_at_fork(before=before)
+specs = [TrialSpec("smm", cycle_graph(8), seed=s) for s in range(6)]
+TrialRunner(jobs=1, checkpoint=sys.argv[1]).map(specs)
+print("FINISHED", flush=True)
+"""
+
+    def test_sigterm_in_at_fork_hook_exits_143(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [os.path.join(root, "src"), env.get("PYTHONPATH", "")] if p
+        )
+        checkpoint = tmp_path / "sweep.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT, str(checkpoint)],
+            capture_output=True,
+            env=env,
+            cwd=root,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 143, (proc.stdout, proc.stderr)
+        assert "FINISHED" not in proc.stdout
+        assert "Exception ignored" not in proc.stderr
+        # the trials that completed before the stop are checkpointed
+        lines = checkpoint.read_text(encoding="utf-8").splitlines()
+        assert 2 <= len(lines) < 6

@@ -92,6 +92,15 @@ class TestRun:
         res = vec.run(ptr)
         assert res.stabilized
 
+    def test_dense_array_with_non_neighbour_pointer_rejected(self):
+        # frontier stepping reads only closed neighbourhoods, so a raw
+        # array outside SMM's state space is refused like engine input
+        g = path_graph(6)
+        ptr = np.full(6, -1, dtype=np.int64)
+        ptr[0] = 3  # 0 and 3 are not adjacent on P_6
+        with pytest.raises(InvalidConfigurationError):
+            VectorizedSMM(g).run(ptr)
+
     def test_timeout_flag(self):
         g = path_graph(8)
         res = VectorizedSMM(g).run(max_rounds=0)
