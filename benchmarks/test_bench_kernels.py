@@ -1,5 +1,4 @@
-"""Benchmark — the kernel hot-path push (packed state, batch sweep,
-zero-copy handoff).
+"""Benchmark — the kernel hot-path push (packed state, batch sweep).
 
 Measures and records, in ``benchmarks/results/BENCH_kernels.json``,
 per-optimization before/after numbers:
@@ -20,8 +19,6 @@ per-optimization before/after numbers:
   ``run_batch`` call with row compaction, for both protocols, plus the
   end-to-end ``run_trials`` wall time of ``backend="auto"`` specs with
   dispatch on (batched) and off (per-trial vectorized).
-* **graph handoff** — pickle round-trip cost of a trial spec with a
-  plain ``Graph`` vs the shared-memory CSR proxy.
 
 The aggregate number the roadmap tracks is the geometric mean of the
 two headline rounds/sec improvements; the 10x target is recorded in
@@ -38,7 +35,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import platform
 import time
 
@@ -52,7 +48,7 @@ from repro.matching.smm_batch import BatchSMM
 from repro.matching.smm_vectorized import VectorizedSMM
 from repro.mis.sis_batch import BatchSIS
 from repro.mis.sis_vectorized import VectorizedSIS
-from repro.parallel import SharedGraphStore, TrialSpec, run_trials
+from repro.parallel import TrialSpec, run_trials
 from repro.rng import ensure_rng
 
 QUICK = bool(os.environ.get("BENCH_KERNELS_QUICK"))
@@ -347,37 +343,6 @@ def _bench_batch_sweep(report):
     return _geomean(speedups)
 
 
-def _bench_graph_handoff(report):
-    n = SCALE["dense_n"]
-    graph = erdos_renyi_graph(n, 8 / n, ensure_rng(11))
-    spec = TrialSpec("smm", graph)
-    repeats = 20
-
-    def round_trips(payload_spec):
-        for _ in range(repeats):
-            pickle.loads(pickle.dumps(payload_spec))
-
-    plain_bytes = len(pickle.dumps(spec))
-    _, plain_s = _best_of(1, lambda: round_trips(spec))
-    with SharedGraphStore(shared=True) as store:
-        (packed,) = store.pack_specs([spec])
-        shared_bytes = len(pickle.dumps(packed))
-        _, shared_s = _best_of(1, lambda: round_trips(packed))
-    report["graph_handoff"] = {
-        "workload": f"pickle round-trip of a TrialSpec on ER({n}, avg deg 8)",
-        "plain_graph_bytes": plain_bytes,
-        "shared_proxy_bytes": shared_bytes,
-        "plain_ms_per_trip": round(plain_s / repeats * 1000, 3),
-        "shared_ms_per_trip": round(shared_s / repeats * 1000, 3),
-        "speedup": round(plain_s / shared_s, 2),
-        "note": (
-            "the proxy ships a segment name; workers attach read-only "
-            "CSR views instead of rebuilding the adjacency from an "
-            "edge-list pickle (repeat attaches are cache hits)"
-        ),
-    }
-
-
 def test_bench_kernels(results_dir):
     report = {
         "host": {
@@ -391,7 +356,6 @@ def test_bench_kernels(results_dir):
     _bench_packed_dense(report)
     recovery_speedup = _bench_frontier_recovery(report)
     batch_speedup = _bench_batch_sweep(report)
-    _bench_graph_handoff(report)
 
     aggregate = _geomean([recovery_speedup, batch_speedup])
     report["aggregate"] = {

@@ -80,7 +80,7 @@ def test_bench_parallel(results_dir):
         "rows_identical": True,
         "note": (
             "fan-out speedup is bounded by cpu_count; on a single-core "
-            "host the pool only adds dispatch overhead"
+            "host the workers only add dispatch overhead"
         ),
     }
     if (os.cpu_count() or 1) > 1:

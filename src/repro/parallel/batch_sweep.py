@@ -7,14 +7,17 @@ full per-round NumPy dispatch overhead; the batch kernels
 :class:`repro.mis.sis_batch.BatchSIS`) amortise it by stepping all
 ``k`` configurations as one ``(k, n)`` array per round.
 
-This module is the planner the trial runner consults: it spots groups
-of specs a batch kernel can execute — same protocol, same graph, same
-round budget, synchronous daemon, no per-trial observation — runs each
-group through one :meth:`run_batch` call in the parent process, and
-decodes the rows back into ordinary :class:`RunResult` records that are
-bit-identical (final configuration, rounds, per-rule moves, legitimacy)
-to per-trial execution.  Ineligible specs are left untouched for the
-normal per-trial paths.
+This module is the planner the trial runner consults before any trial
+runs, whatever the sweep's ``jobs`` or resilience policies: it spots
+groups of specs a batch kernel can execute — same protocol, same
+graph, same round budget, synchronous daemon, no per-trial observation
+— runs each group through one :meth:`run_batch` call in the calling
+process, and decodes the rows back into ordinary :class:`RunResult`
+records that are bit-identical (final configuration, rounds, per-rule
+moves, legitimacy) to per-trial execution.  Ineligible specs are left
+untouched for per-trial execution, and so is every member of a group
+one of whose configurations fails validation, so that the failure
+lands on the bad trial alone.
 
 Eligibility is deliberately conservative — a spec batches only when:
 
@@ -41,7 +44,7 @@ Dispatch is visible, never silent: batched groups increment the
 backend-labelled ``repro_batch_sweep_groups_total`` /
 ``repro_batch_sweep_trials_total`` counters, and the runner increments
 ``repro_batch_sweep_fallbacks_total`` (via :func:`record_fallback`)
-when batching is disabled wholesale by tracing or resilient mode.
+when a traced sweep disables batching wholesale.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import registry
 from repro.engine.result import RunResult
+from repro.errors import InvalidConfigurationError
 
 __all__ = ["dispatch_groups", "record_fallback", "sweep_eligible"]
 
@@ -106,8 +110,8 @@ def dispatch_groups(specs: Sequence) -> Dict[int, RunResult]:
     results keyed by original spec index.
 
     Indices absent from the returned mapping were not batched (spec
-    ineligible, or its group had fewer than two members) and must run
-    through the ordinary per-trial paths.
+    ineligible, its group had fewer than two members, or a member's
+    configuration is invalid) and must run per trial.
     """
     from repro.core.executor import _default_round_budget
 
@@ -134,9 +138,11 @@ def dispatch_groups(specs: Sequence) -> Dict[int, RunResult]:
     for (protocol_key, graph, budget), members in groups.items():
         if len(members) < 2:
             continue
-        results.update(
-            _run_group(protocol_key, graph, budget, members, protocols)
-        )
+        try:
+            group = _run_group(protocol_key, graph, budget, members, protocols)
+        except InvalidConfigurationError:
+            continue  # per trial, the error lands on the bad trial alone
+        results.update(group)
         dispatched_groups += 1
         dispatched_by_protocol[protocol_key] = dispatched_by_protocol.get(
             protocol_key, 0
@@ -223,8 +229,8 @@ def _record_dispatch(groups: int, trials_by_protocol: Dict[str, int]) -> None:
 
 
 def record_fallback(reason: str) -> None:
-    """Count a wholesale batching bypass (tracer ambient, resilient
-    mode) so degraded sweeps are observable, mirroring the engine's
+    """Count a wholesale batching bypass (tracer ambient) so degraded
+    sweeps are observable, mirroring the engine's
     ``repro_backend_fallbacks_total`` convention."""
     from repro.observability import metrics as _metrics
 

@@ -1,39 +1,67 @@
 """Fan independent protocol trials across worker processes.
 
-The unit of work is a :class:`TrialSpec` — plain, picklable data that
-fully determines one protocol run.  :func:`execute_trial` is a pure
-function of the spec: protocols are rebuilt by *name* inside the worker
-(rule closures don't pickle) and any randomness flows from the spec's
-integer ``seed`` through :mod:`repro.rng`, so a trial's result is
-bit-identical whether it runs inline, in this process, or in any worker
-of any pool.  That property is what lets the experiments keep their
-"reproducible from one seed" contract while scaling across cores; it is
-pinned by ``tests/test_parallel.py``.
+The unit of work is a :class:`TrialSpec` — plain data that fully
+determines one protocol run.  :func:`execute_trial` is a pure function
+of the spec: protocols are rebuilt by *name* (rule closures don't
+pickle) and any randomness flows from the spec's integer ``seed``
+through :mod:`repro.rng`, so a trial's result is bit-identical whether
+it runs inline or in any worker process.  That property is what lets
+the experiments keep their "reproducible from one seed" contract while
+scaling across cores; it is pinned by ``tests/test_parallel.py``.
 
-Resilient execution
+One scheduler
+-------------
+:meth:`TrialRunner.map` runs a sweep in three steps:
+
+1. trials already in a resume ``checkpoint`` are loaded;
+2. **batch-sweep dispatch** (:mod:`repro.parallel.batch_sweep`) runs
+   each group of same-(protocol, graph, budget) synchronous specs as
+   one ``(k, n)`` batch-kernel call in the calling process, with
+   results bit-identical to per-trial execution (pinned by
+   ``tests/test_engine_equivalence.py``).  A traced sweep needs
+   per-trial execution and skips it, visibly: see
+   ``repro_batch_sweep_fallbacks_total``;
+3. the remaining trials run inline when ``jobs == 1`` (or one trial is
+   left) and no resilience policy is set, and otherwise on up to
+   ``jobs`` long-lived worker processes.
+
+Workers are forked from an explicit ``fork`` context once the spec list
+is final, so each worker inherits the specs — graphs included — and
+only trial indices and results cross its pipe.  Without a ``timeout`` a
+worker is sent chunks of indices (a quarter of its fair share at a
+time); with one it is sent one index at a time, so the deadline is per
+trial.
+
+Resilience policies
 -------------------
-Long sweeps die to one hung trial or one OOM-killed worker; the runner
-therefore has a second, *resilient* mode, selected by any of the
-``timeout`` / ``retries`` / ``checkpoint`` knobs:
+Long sweeps die to one hung trial or one OOM-killed worker; ``timeout``
+/ ``retries`` / ``checkpoint`` make them policies of the same loop:
 
-* each trial attempt runs in its own worker process with a wall-clock
-  ``timeout``; an expired attempt is terminated;
-* timed-out and transiently-dead attempts are retried up to ``retries``
-  times with exponential backoff (``backoff * 2**attempt`` seconds);
-  a trial's *own* exception is deterministic and is never retried;
-* a trial that exhausts its attempts becomes a :class:`FailedTrial`
-  record in the result list instead of aborting the batch;
-* with ``checkpoint=PATH``, every completed trial is appended to a
-  JSONL file keyed by ``(index, spec fingerprint)``; re-running with
-  the same path resumes a killed sweep, executing only the missing
-  trials (stale or corrupt lines are ignored and re-run).
+* a trial's *own* exception is deterministic and is never retried;
+* a trial that runs past ``timeout`` wall-clock seconds, or whose
+  worker dies (signal, OOM kill), is retried on a fresh worker up to
+  ``retries`` times with ``backoff * 2**attempt`` seconds between
+  attempts.  The timed-out or dead worker is killed and replaced; a
+  death charges the trial the worker was running and requeues the rest
+  of its chunk uncharged;
+* with any policy set, a trial that fails for good becomes a
+  :class:`FailedTrial` record in its slot instead of aborting the
+  sweep.  Without one, the sweep raises: the trial's own exception, or
+  a ``RuntimeError`` naming the failure (``WorkerDeath``) when the
+  exception did not survive pickling or there was none;
+* with ``checkpoint=PATH``, every outcome — inline, worker, batched or
+  failed — is appended to a JSONL file keyed by ``(index, spec
+  fingerprint)``; re-running with the same path resumes a killed
+  sweep, executing only the missing trials (stale or corrupt lines are
+  ignored and re-run).
 
-Without any of those knobs, :meth:`TrialRunner.map` is the original
-pool path, byte-for-byte.
+A ``timeout`` bounds trials that run in workers, not batch groups: a
+group runs in the calling process, bounded by its resolved round
+budget.
 
 Long-lived owners
 -----------------
-A sweep no longer has to be a run-to-completion black box.  Two hooks
+A sweep does not have to be a run-to-completion black box.  Two hooks
 let a persistent owner — the ``repro serve`` control plane
 (:mod:`repro.serve`), or any other daemon embedding the runner — drive
 it incrementally:
@@ -44,50 +72,32 @@ it incrementally:
   batch-sweep dispatch.  Results are unchanged; the callback only
   observes them.
 * ``cancel`` is a :class:`threading.Event`; once set, the runner stops
-  dispatching, terminates in-flight resilient attempts, and raises
-  :class:`SweepCancelled`.  Work already checkpointed stays
-  checkpointed, so a cancelled job resumes exactly where it stopped.
+  dispatching, kills its workers, and raises :class:`SweepCancelled`.
+  Work already checkpointed stays checkpointed, so a cancelled job
+  resumes exactly where it stopped.
 
-In resilient mode the runner additionally turns a ``SIGTERM`` (main
-thread, default disposition only) into a third stop reason next to
-``cancel`` and ``deadline``: the scheduler raises
+With a resilience policy set, the runner additionally turns a
+``SIGTERM`` (main thread, default disposition only) into a third stop
+reason next to ``cancel`` and ``deadline``: the scheduler raises
 :class:`SweepInterrupted` at its next poll point, so a killed process
-unwinds through its ``finally`` blocks: the checkpoint JSONL is flushed
-and closed, shared-memory segments are unlinked, and the exit code is
-the conventional ``128 + signum``.
-
-Sweep fast paths
-----------------
-Two transparent optimisations sit in front of both modes, each
-preserving bit-identical results (pinned by
-``tests/test_engine_equivalence.py``):
-
-* **batch-sweep dispatch** (:mod:`repro.parallel.batch_sweep`): groups
-  of same-(protocol, graph, budget) synchronous specs with no
-  per-trial observation execute as one ``(k, n)`` batch-kernel call in
-  the parent instead of ``k`` separate runs.  Disabled wholesale under
-  tracing and in resilient mode (both need per-trial execution), and
-  visibly so — see ``repro_batch_sweep_fallbacks_total``.
-* **zero-copy graph handoff** (:mod:`repro.parallel.shared_graph`):
-  when trials do cross a process boundary, each distinct graph ships
-  once — large graphs as CSR buffers in shared memory that workers
-  attach to, small ones as a memoized pickle payload deserialized once
-  per worker — instead of being re-pickled into every spec.
+unwinds through its ``finally`` blocks — the checkpoint JSONL is
+flushed and closed, the workers are stopped — and exits with the
+conventional ``128 + signum``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import heapq
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
@@ -108,8 +118,6 @@ from repro.types import NodeId
 
 __all__ = [
     "PROTOCOLS",
-    "BATCH_SWEEP_DEFAULT",
-    "SHARED_GRAPHS_DEFAULT",
     "FailedTrial",
     "SweepCancelled",
     "SweepInterrupted",
@@ -132,7 +140,7 @@ OnResult = Callable[[int, Union[RunResult, "FailedTrial"], bool], None]
 class SweepCancelled(RuntimeError):
     """Raised by :meth:`TrialRunner.map` when its ``cancel`` event is
     set mid-sweep, or its ``deadline`` passes.  Completed trials are
-    already checkpointed (resilient mode) and reported through
+    already checkpointed (when a checkpoint is set) and reported through
     ``on_result``; re-running with the same checkpoint resumes from
     where the cancel landed.
 
@@ -151,15 +159,16 @@ class SweepCancelled(RuntimeError):
 class SweepInterrupted(SystemExit):
     """``SIGTERM`` during a resilient sweep, raised at the scheduler's
     next poll point so the sweep unwinds orderly — checkpoint flushed
-    and closed, shared-memory segments unlinked — before the process
-    exits with the conventional ``128 + signum`` status."""
+    and closed, workers stopped — before the process exits with the
+    conventional ``128 + signum`` status."""
 
     def __init__(self, signum: int) -> None:
         super().__init__(128 + int(signum))
         self.signum = int(signum)
 
 
-#: Longest the resilient scheduler blocks between stop-reason checks.
+#: Longest the scheduler blocks between stop-reason checks, and the
+#: interval at which an idle worker checks that its parent is alive.
 _POLL_SECONDS = 0.1
 
 
@@ -173,7 +182,7 @@ def _sigterm_stops(runner: "TrialRunner"):
     hook (logging's lock acquisition while an attempt forks), where
     CPython prints "Exception ignored" and drops the exception.  A
     signal that lands after the last poll still stops the sweep on the
-    way out of the block.  An attempt forked with the handler installed
+    way out of the block.  A worker forked with the handler installed
     dies of the signal as by default.
 
     Installed only in the main thread (signal handlers cannot be set
@@ -210,16 +219,6 @@ def _sigterm_stops(runner: "TrialRunner"):
     finally:
         signal.signal(signal.SIGTERM, previous)
     runner._check_cancel()
-
-#: Process-wide defaults for the sweep fast paths, read by
-#: :class:`TrialRunner` when the corresponding keyword is omitted.  The
-#: CLI's ``--no-batch-sweep`` / ``--shared-graphs`` flags set these so
-#: every runner built downstream (experiments construct their own)
-#: honours them.
-BATCH_SWEEP_DEFAULT: bool = True
-SHARED_GRAPHS_DEFAULT: str = "auto"
-
-_SHARED_GRAPH_POLICIES = {"auto": None, "always": True, "never": False}
 
 
 @dataclass(frozen=True)
@@ -348,7 +347,8 @@ def _dispatch_trial(spec: TrialSpec) -> RunResult:
 
 @dataclass(frozen=True)
 class FailedTrial:
-    """A trial that could not produce a result in resilient mode.
+    """A trial that could not produce a result in a sweep with a
+    resilience policy (``timeout``, ``retries`` or ``checkpoint``).
 
     Takes the trial's slot in the result list (so indices still line up
     with the spec list) instead of aborting the whole batch.
@@ -436,49 +436,48 @@ def spec_fingerprint(spec: TrialSpec) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-class _TrialFailure:
-    """Picklable wrapper tagging an exception as *raised by a trial*,
-    as opposed to by the pool machinery.  Without the tag, a trial's
-    own ``OSError``/``RuntimeError`` escaping ``pool.map`` is
-    indistinguishable from pool death — and was silently swallowed by
-    the inline-fallback path, re-running every trial (including the
-    failing one, now raising from a misleading inline stack)."""
+def _worker_loop(conn, specs: Sequence[TrialSpec], parent: int) -> None:
+    """Body of a forked worker: run the spec indices it is sent, one
+    payload per trial, until it receives ``None`` or EOF, or its parent
+    is gone.
 
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
-
-
-def _execute_trial_tagged(spec: TrialSpec):
-    """Worker entry point: run the trial, tagging its own exceptions."""
-    try:
-        return execute_trial(spec)
-    except Exception as exc:
-        return _TrialFailure(exc)
-
-
-def _resilient_worker(conn, spec: TrialSpec) -> None:
-    """Worker entry point of the resilient mode: one attempt, one
-    process.  Exceptions travel as ``(type name, message)`` strings —
-    never pickled, so an unpicklable exception cannot kill the
-    transport and masquerade as worker death."""
+    A payload is ``("ok", result)`` or ``("error", type name, message,
+    exception)``.  The exception is ``None`` when it does not survive
+    pickling, so a bad exception can never pose as worker death."""
     _pin_worker_threads()
-    try:
-        payload = ("ok", execute_trial(spec))
-    except Exception as exc:
-        payload = ("error", type(exc).__name__, str(exc))
-    try:
-        conn.send(payload)
-    except Exception:
+    while True:
+        while not conn.poll(_POLL_SECONDS):
+            if os.getppid() != parent:
+                return  # orphaned: nobody is left to read the results
         try:
-            conn.send(
-                ("error", "SerializationError", "result could not be pickled")
-            )
-        except Exception:  # pragma: no cover - pipe gone: parent sees EOF
-            pass
-    finally:
-        conn.close()
+            chunk = conn.recv()
+        except EOFError:
+            return
+        if chunk is None:
+            return
+        for index in chunk:
+            try:
+                payload = ("ok", execute_trial(specs[index]))
+            except Exception as exc:
+                payload = ("error", type(exc).__name__, str(exc), _portable(exc))
+            try:
+                conn.send(payload)
+            except OSError:
+                return  # parent gone
+            except Exception:
+                conn.send(
+                    ("error", "SerializationError",
+                     "result could not be pickled", None)
+                )
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
 
 
 # ----------------------------------------------------------------------
@@ -533,16 +532,38 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# resilient-mode plumbing
+# the scheduler's parts
 # ----------------------------------------------------------------------
-@dataclass
-class _Attempt:
-    """One in-flight worker process of the resilient scheduler."""
+class _Worker:
+    """One long-lived forked worker, its pipe, and the ``(index,
+    attempt)`` pairs it has been sent but not yet answered, head
+    first."""
 
-    index: int
-    attempt: int  # 0-based attempt number
-    process: object
-    deadline: Optional[float]  # monotonic seconds, None = no timeout
+    def __init__(self, ctx, specs: Sequence[TrialSpec]) -> None:
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_worker_loop, args=(child, specs, os.getpid()), daemon=True
+        )
+        self.process.start()
+        child.close()
+        self.owed: deque = deque()
+        self.deadline: Optional[float] = None  # monotonic, per trial
+
+    def send(self, items: List[Tuple[int, int]], timeout: Optional[float]) -> None:
+        self.owed.extend(items)
+        if timeout is not None:
+            self.deadline = time.monotonic() + timeout
+        self.conn.send([index for index, _ in items])
+
+    def stop(self, graceful: bool) -> None:
+        if graceful:
+            with contextlib.suppress(OSError):
+                self.conn.send(None)
+            self.process.join(10 * _POLL_SECONDS)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
 
 
 def _checkpoint_record(index: int, fingerprint: str, outcome) -> Dict[str, object]:
@@ -610,28 +631,23 @@ def _load_checkpoint(
 
 
 class TrialRunner:
-    """Run trial specs, fanning across processes when ``jobs > 1``.
+    """Run trial specs inline or on up to ``jobs`` forked workers.
 
     Results always come back in spec order, and are bit-identical to
-    inline execution (each trial is a pure function of its spec).  When
-    the pool cannot be used — ``jobs=1``, pickling trouble, or the pool
-    dying mid-flight — execution degrades gracefully to inline.
+    inline execution (each trial is a pure function of its spec).
 
-    Setting any of ``timeout`` (per-trial wall-clock seconds),
-    ``retries`` (bounded retry of timed-out / transiently-dead
-    attempts, with ``backoff * 2**attempt`` seconds between them) or
-    ``checkpoint`` (JSONL resume file) switches :meth:`map` to the
-    resilient mode documented in the module docstring; the result list
-    may then contain :class:`FailedTrial` records in the failed trials'
-    slots.
+    ``timeout`` (per-trial wall-clock seconds), ``retries`` (bounded
+    retry of timed-out or dead attempts, with ``backoff * 2**attempt``
+    seconds between them) and ``checkpoint`` (JSONL resume file) are
+    the resilience policies documented in the module docstring; with
+    any of them set the result list may contain :class:`FailedTrial`
+    records in the failed trials' slots, and trials always run in
+    worker processes, so a trial that kills its process cannot take
+    the caller with it.
 
-    ``batch_sweep`` (default :data:`BATCH_SWEEP_DEFAULT`) toggles
-    batch-sweep dispatch; ``shared_graphs`` — ``"auto"``, ``"always"``
-    or ``"never"`` (default :data:`SHARED_GRAPHS_DEFAULT`) — selects
-    how graphs ship to worker processes (shared-memory CSR vs memoized
-    pickle; see :mod:`repro.parallel.shared_graph`).  Both fast paths
-    are result-preserving; the knobs exist for benchmarking and for
-    environments without a usable shared-memory filesystem.
+    ``batch_sweep=False`` turns batch-sweep dispatch off; results are
+    identical either way, and per-trial execution is the reference the
+    equivalence suite compares batching against.
 
     ``on_result`` and ``cancel`` are the long-lived-owner hooks (module
     docstring): a per-trial progress callback
@@ -640,7 +656,7 @@ class TrialRunner:
     ``deadline`` is the same unwind on a clock instead of an event: an
     absolute ``time.time()`` timestamp after which the sweep stops with
     ``SweepCancelled(reason="deadline")`` at the next trial boundary
-    (in resilient mode, at the scheduler's next poll point, at most
+    (with workers, at the scheduler's next poll point, at most
     :data:`_POLL_SECONDS` away).  None of the three changes any result.
     """
 
@@ -648,19 +664,16 @@ class TrialRunner:
         self,
         jobs: Optional[int] = 1,
         *,
-        chunksize: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
         backoff: float = 0.1,
         checkpoint: Optional[str] = None,
-        batch_sweep: Optional[bool] = None,
-        shared_graphs: Optional[str] = None,
+        batch_sweep: bool = True,
         on_result: Optional[OnResult] = None,
         cancel: Optional[threading.Event] = None,
         deadline: Optional[float] = None,
     ):
         self.jobs = resolve_jobs(jobs)
-        self.chunksize = chunksize
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         if retries < 0:
@@ -669,23 +682,13 @@ class TrialRunner:
         self.retries = retries
         self.backoff = backoff
         self.checkpoint = None if checkpoint is None else str(checkpoint)
-        self.batch_sweep = (
-            BATCH_SWEEP_DEFAULT if batch_sweep is None else bool(batch_sweep)
-        )
-        if shared_graphs is None:
-            shared_graphs = SHARED_GRAPHS_DEFAULT
-        if shared_graphs not in _SHARED_GRAPH_POLICIES:
-            raise ValueError(
-                f"shared_graphs must be one of "
-                f"{sorted(_SHARED_GRAPH_POLICIES)}, got {shared_graphs!r}"
-            )
-        self.shared_graphs = shared_graphs
+        self.batch_sweep = bool(batch_sweep)
         self.on_result = on_result
         self.cancel = cancel
         if deadline is not None:
             deadline = float(deadline)
         self.deadline = deadline
-        self._signalled: Optional[int] = None  # SIGTERM seen (resilient mode)
+        self._signalled: Optional[int] = None  # SIGTERM seen (resilient sweep)
 
     @property
     def resilient(self) -> bool:
@@ -696,12 +699,8 @@ class TrialRunner:
         )
 
     # ------------------------------------------------------------------
-    # long-lived-owner hooks
+    # stop reasons
     # ------------------------------------------------------------------
-    def _notify(self, index: int, outcome, resumed: bool = False) -> None:
-        if self.on_result is not None:
-            self.on_result(index, outcome, resumed)
-
     def _cancel_reason(self) -> Optional[str]:
         if self._signalled is not None:
             return "signal"
@@ -743,347 +742,187 @@ class TrialRunner:
         specs = list(specs)
         tracer = _tracing.current_tracer()
         registry = _metrics.current_registry()
-        traced = tracer is not None
         self._check_cancel()
-
-        # ------------------------------------------------------------
-        # fast path 1: batch-sweep dispatch (parent-side, result-
-        # preserving; per-trial observation modes bypass it visibly)
-        # ------------------------------------------------------------
-        batched: Dict[int, RunResult] = {}
-        if self.batch_sweep and len(specs) > 1:
-            from repro.parallel import batch_sweep as _batch_sweep
-
-            if self.resilient or traced:
-                _batch_sweep.record_fallback(
-                    "resilient" if self.resilient else "traced"
-                )
-            else:
-                batched = _batch_sweep.dispatch_groups(specs)
-        for index in sorted(batched):
-            self._notify(index, batched[index])
-        if batched:
-            rest = [spec for i, spec in enumerate(specs) if i not in batched]
-            rest_indices = [i for i in range(len(specs)) if i not in batched]
-        else:
-            rest = specs
-            rest_indices = list(range(len(specs)))
-
-        # ------------------------------------------------------------
-        # fast path 2: per-sweep graph handoff for everything that will
-        # cross a process boundary (resilient mode forks per attempt)
-        # ------------------------------------------------------------
-        store = None
-        try:
-            if rest and (
-                self.resilient or (self.jobs > 1 and len(rest) > 1)
-            ):
-                from repro.parallel.shared_graph import SharedGraphStore
-
-                store = SharedGraphStore(
-                    _SHARED_GRAPH_POLICIES[self.shared_graphs]
-                )
-                rest = store.pack_specs(rest)
+        results: Dict[int, Union[RunResult, FailedTrial]] = {}
+        attempts: Dict[int, int] = {}  # index -> attempts made, when > 1
+        resumed: Dict[int, Union[RunResult, FailedTrial]] = {}
+        fingerprints: Optional[List[str]] = None
+        with contextlib.ExitStack() as stack:
             if self.resilient:
-                # batching never applies here, so indices line up; a
-                # SIGTERM unwinds through the finally below (checkpoint
-                # closed, segments unlinked) instead of killing us cold
-                with _sigterm_stops(self):
-                    outcomes, attempts, resumed = self._map_resilient(
-                        rest, traced=traced
-                    )
-            else:
-                rest_outcomes = self._map_plain(
-                    rest, traced=traced, indices=rest_indices
+                # a SIGTERM unwinds through this stack (checkpoint
+                # closed, workers stopped) instead of killing us cold
+                stack.enter_context(_sigterm_stops(self))
+            writer = None
+            if self.checkpoint is not None:
+                fingerprints = [spec_fingerprint(spec) for spec in specs]
+                resumed = _load_checkpoint(self.checkpoint, fingerprints)
+                writer = stack.enter_context(
+                    open(self.checkpoint, "a", encoding="utf-8")
                 )
-                attempts, resumed = {}, frozenset()
-                if batched:
-                    rest_iter = iter(rest_outcomes)
-                    outcomes = [
-                        batched[i] if i in batched else next(rest_iter)
-                        for i in range(len(specs))
-                    ]
+
+            def record(index: int, outcome, made: int = 1) -> None:
+                """The one path every outcome takes."""
+                results[index] = outcome
+                if made > 1:
+                    attempts[index] = made
+                if writer is not None and index not in resumed:
+                    json.dump(
+                        _checkpoint_record(index, fingerprints[index], outcome),
+                        writer,
+                    )
+                    writer.write("\n")
+                    writer.flush()
+                if self.on_result is not None:
+                    self.on_result(index, outcome, index in resumed)
+
+            for index in sorted(resumed):
+                record(index, resumed[index])
+            todo = [i for i in range(len(specs)) if i not in results]
+            if self.batch_sweep and len(todo) > 1:
+                from repro.parallel import batch_sweep as _batch_sweep
+
+                if tracer is not None:
+                    _batch_sweep.record_fallback("traced")
                 else:
-                    outcomes = rest_outcomes
-        finally:
-            if store is not None:
-                store.close()
-        if traced:
+                    batched = _batch_sweep.dispatch_groups(
+                        [specs[i] for i in todo]
+                    )
+                    for position in sorted(batched):
+                        record(todo[position], batched[position])
+                    todo = [i for i in todo if i not in results]
+            run_specs = _prepare_specs(specs, traced=tracer is not None)
+            if todo and (self.resilient or (self.jobs > 1 and len(todo) > 1)):
+                self._schedule(run_specs, todo, record, fingerprints)
+            else:
+                for index in todo:
+                    self._check_cancel()
+                    record(index, _execute_local(run_specs[index]))
+        outcomes = [results[i] for i in range(len(specs))]
+        if tracer is not None:
             _graft_trial_spans(tracer, outcomes, attempts, resumed)
         if registry is not None:
             _record_trial_metrics(registry, outcomes, attempts, resumed)
         return outcomes
 
-    def _map_plain(
+    def _schedule(
         self,
         specs: List[TrialSpec],
-        *,
-        traced: bool,
-        indices: Optional[Sequence[int]] = None,
-    ) -> List[Union[RunResult, FailedTrial]]:
-        """``indices`` maps positions in ``specs`` back to positions in
-        the caller's full spec list (batch-sweep dispatch may have
-        answered some up front) — it labels ``on_result`` calls only."""
-        specs = _prepare_specs(specs, traced=traced)
-        indices = list(indices) if indices is not None else list(range(len(specs)))
-        if self.jobs <= 1 or len(specs) <= 1:
-            outcomes = []
-            for j, spec in enumerate(specs):
-                self._check_cancel()
-                outcome = _execute_local(spec)
-                self._notify(indices[j], outcome)
-                outcomes.append(outcome)
-            return outcomes
-        chunk = self.chunksize or max(1, len(specs) // (self.jobs * 4))
-        outcomes: List[Union[RunResult, FailedTrial]] = []
-        failure: Optional[_TrialFailure] = None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(specs)),
-                initializer=_pin_worker_threads,
-            ) as pool:
-                # pool.map yields in spec order as chunks complete, so
-                # progress streams without changing result order.  Trial
-                # exceptions come back tagged as _TrialFailure and are
-                # re-raised *outside* this try: an exception reaching
-                # the except clause below really is pool machinery
-                # failing — a trial's own OSError or RuntimeError must
-                # propagate, not trigger the fallback (and must not be
-                # mistaken for pool death by being raised in here).
-                for outcome in pool.map(
-                    _execute_trial_tagged, specs, chunksize=chunk
-                ):
-                    if self._cancel_reason() is not None:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        self._check_cancel()
-                    if isinstance(outcome, _TrialFailure):
-                        failure = outcome
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        break
-                    self._notify(indices[len(outcomes)], outcome)
-                    outcomes.append(outcome)
-        except SweepCancelled:
-            raise
-        except (BrokenProcessPool, OSError, RuntimeError) as exc:
-            # Pool died (OOM kill, fork failure, interpreter without
-            # multiprocessing support...): the trials are side-effect
-            # free, so running the remainder inline is safe (results
-            # already yielded — and notified — are kept).
-            import warnings
-
-            warnings.warn(
-                f"process pool failed ({exc!r}); falling back to inline execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for j in range(len(outcomes), len(specs)):
-                self._check_cancel()
-                outcome = _execute_local(specs[j])
-                self._notify(indices[j], outcome)
-                outcomes.append(outcome)
-            return outcomes
-        if failure is not None:
-            raise failure.error
-        return outcomes
-
-    # ------------------------------------------------------------------
-    # resilient mode
-    # ------------------------------------------------------------------
-    def _map_resilient(
-        self, specs: List[TrialSpec], *, traced: bool = False
-    ) -> Tuple[
-        List[Union[RunResult, FailedTrial]], Dict[int, int], frozenset
-    ]:
-        """Returns ``(outcomes, attempts made per executed index,
-        checkpoint-resumed indices)``.  Fingerprints come from the
-        *original* specs — the trace flag is observation-only and must
-        not invalidate resumes."""
-        fingerprints = [spec_fingerprint(spec) for spec in specs]
-        run_specs = _prepare_specs(specs, traced=traced)
-        results: Dict[int, Union[RunResult, FailedTrial]] = {}
-        attempts: Dict[int, int] = {}
-        resumed: frozenset = frozenset()
-        writer = None
-        if self.checkpoint is not None:
-            loaded = _load_checkpoint(self.checkpoint, fingerprints)
-            results.update(loaded)
-            resumed = frozenset(loaded)
-            for index in sorted(loaded):
-                self._notify(index, loaded[index], resumed=True)
-            writer = open(self.checkpoint, "a", encoding="utf-8")
-        try:
-            self._run_scheduler(run_specs, fingerprints, results, writer, attempts)
-        finally:
-            if writer is not None:
-                writer.close()
-        return [results[i] for i in range(len(specs))], attempts, resumed
-
-    def _run_scheduler(
-        self, specs, fingerprints, results, writer, attempts=None
+        todo: List[int],
+        record: Callable[..., None],
+        fingerprints: Optional[List[str]],
     ) -> None:
-        ctx = multiprocessing.get_context()
-        pending = deque(
-            (i, 0) for i in range(len(specs)) if i not in results
-        )
-        backing_off: List[Tuple[float, int, int]] = []  # (ready_at, idx, att)
-        running: Dict[object, _Attempt] = {}  # parent conn -> attempt
+        """Run the trials ``todo`` on up to ``jobs`` forked workers,
+        under the failure rule of the module docstring."""
+        ctx = multiprocessing.get_context("fork")  # workers inherit specs
+        pending = deque((index, 0) for index in todo)  # (index, attempt)
+        backing_off: List[Tuple[float, int, int]] = []  # heap: (ready, i, a)
+        workers: List[_Worker] = []
+        chunk = 1
+        if self.timeout is None:
+            chunk = max(1, len(todo) // (4 * min(self.jobs, len(todo))))
 
-        def record(index: int, outcome, made: int = 1) -> None:
-            results[index] = outcome
-            if attempts is not None:
-                attempts[index] = made
-            if writer is not None:
-                json.dump(
-                    _checkpoint_record(index, fingerprints[index], outcome),
-                    writer,
+        def fail(index, made, error_type, message, exc=None, timed_out=False):
+            if not self.resilient:
+                if exc is not None:
+                    raise exc
+                raise RuntimeError(
+                    f"trial {index} failed: {error_type}: {message}"
                 )
-                writer.write("\n")
-                writer.flush()
-            self._notify(index, outcome)
-
-        def retry_or_fail(att: _Attempt, error_type: str, message: str) -> None:
-            timed_out = error_type == "Timeout"
-            if att.attempt < self.retries:
-                ready_at = time.monotonic() + self.backoff * (2**att.attempt)
-                backing_off.append((ready_at, att.index, att.attempt + 1))
-                backing_off.sort()
-            else:
-                record(
-                    att.index,
-                    FailedTrial(
-                        index=att.index,
-                        fingerprint=fingerprints[att.index],
-                        error_type=error_type,
-                        error=message,
-                        attempts=att.attempt + 1,
-                        timed_out=timed_out,
-                    ),
-                    made=att.attempt + 1,
-                )
-
-        def reap(att: _Attempt, kill: bool = False) -> None:
-            if kill:
-                att.process.terminate()
-                att.process.join(1.0)
-                if att.process.is_alive():  # pragma: no cover - stubborn
-                    att.process.kill()
-            att.process.join()
-
-        try:
-            self._scheduler_loop(
-                ctx,
-                specs,
-                fingerprints,
-                pending,
-                backing_off,
-                running,
-                record,
-                retry_or_fail,
-                reap,
-            )
-        finally:
-            # exceptional unwind (cancel, SIGTERM, a raising callback):
-            # in-flight attempts must not outlive the sweep — their
-            # results have nowhere to land and the worker processes
-            # would keep shared-memory attachments alive
-            for conn, att in list(running.items()):
-                reap(att, kill=True)
-                conn.close()
-            running.clear()
-
-    def _scheduler_loop(
-        self,
-        ctx,
-        specs,
-        fingerprints,
-        pending,
-        backing_off,
-        running,
-        record,
-        retry_or_fail,
-        reap,
-    ) -> None:
-        while pending or backing_off or running:
-            self._check_cancel()
-            now = time.monotonic()
-            while backing_off and backing_off[0][0] <= now:
-                _, index, attempt = backing_off.pop(0)
-                pending.append((index, attempt))
-            while pending and len(running) < self.jobs:
-                index, attempt = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_resilient_worker,
-                    args=(child_conn, specs[index]),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                started = time.monotonic()
-                running[parent_conn] = _Attempt(
+            record(
+                index,
+                FailedTrial(
                     index=index,
-                    attempt=attempt,
-                    process=process,
-                    deadline=(
-                        None if self.timeout is None else started + self.timeout
+                    fingerprint=(
+                        fingerprints[index]
+                        if fingerprints is not None
+                        else spec_fingerprint(specs[index])
                     ),
-                )
-            if not running:
-                # everything is backing off: sleep to the earliest retry
-                # (in slices, so a stop reason is seen while waiting)
-                time.sleep(
-                    min(
-                        _POLL_SECONDS,
-                        max(0.0, backing_off[0][0] - time.monotonic()),
-                    )
-                )
-                continue
-            wake_points = [
-                att.deadline for att in running.values() if att.deadline is not None
-            ]
-            if backing_off:
-                wake_points.append(backing_off[0][0])
-            wait_for = min(
-                [_POLL_SECONDS]
-                + [max(0.0, w - time.monotonic()) for w in wake_points]
+                    error_type=error_type,
+                    error=message,
+                    attempts=made,
+                    timed_out=timed_out,
+                ),
+                made,
             )
-            ready = _connection_wait(list(running), timeout=wait_for)
-            for conn in ready:
-                att = running.pop(conn)
-                try:
-                    payload = conn.recv()
-                except (EOFError, OSError):
-                    payload = None  # worker died before sending
-                conn.close()
-                reap(att)
-                if payload is None:
-                    retry_or_fail(att, "WorkerDeath", "worker process died")
-                elif payload[0] == "ok":
-                    record(att.index, payload[1], made=att.attempt + 1)
-                else:
-                    # the trial's own exception: deterministic, no retry
-                    record(
-                        att.index,
-                        FailedTrial(
-                            index=att.index,
-                            fingerprint=fingerprints[att.index],
-                            error_type=payload[1],
-                            error=payload[2],
-                            attempts=att.attempt + 1,
-                        ),
-                        made=att.attempt + 1,
-                    )
-            now = time.monotonic()
-            for conn, att in list(running.items()):
-                if att.deadline is not None and att.deadline <= now:
-                    del running[conn]
-                    reap(att, kill=True)
-                    conn.close()
-                    retry_or_fail(
-                        att,
-                        "Timeout",
-                        f"trial exceeded {self.timeout}s wall clock",
-                    )
+
+        def lost(worker: _Worker, error_type: str, message: str) -> None:
+            """Kill ``worker``; charge the trial it was running."""
+            workers.remove(worker)
+            worker.stop(graceful=False)
+            (index, attempt), *rest = worker.owed
+            pending.extendleft(reversed(rest))
+            if attempt < self.retries:
+                ready = time.monotonic() + self.backoff * (2**attempt)
+                heapq.heappush(backing_off, (ready, index, attempt + 1))
+            else:
+                fail(index, attempt + 1, error_type, message,
+                     timed_out=error_type == "Timeout")
+
+        try:
+            while pending or backing_off or any(w.owed for w in workers):
+                self._check_cancel()
+                now = time.monotonic()
+                while backing_off and backing_off[0][0] <= now:
+                    _, index, attempt = heapq.heappop(backing_off)
+                    pending.append((index, attempt))
+                idle = [w for w in workers if not w.owed]
+                while pending and (idle or len(workers) < self.jobs):
+                    if idle:
+                        worker = idle.pop()
+                    else:
+                        worker = _Worker(ctx, specs)
+                        workers.append(worker)
+                    items = [
+                        pending.popleft()
+                        for _ in range(min(chunk, len(pending)))
+                    ]
+                    try:
+                        worker.send(items, self.timeout)
+                    except OSError:
+                        lost(worker, "WorkerDeath", "worker process died")
+                busy = [w for w in workers if w.owed]
+                wake = [w.deadline for w in busy if w.deadline is not None]
+                if backing_off:
+                    wake.append(backing_off[0][0])
+                wait_for = min(
+                    [_POLL_SECONDS]
+                    + [max(0.0, t - time.monotonic()) for t in wake]
+                )
+                if not busy:
+                    # everything is backing off: sleep toward the
+                    # earliest retry, in slices, so a stop reason is seen
+                    time.sleep(wait_for)
+                    continue
+                ready = _connection_wait([w.conn for w in busy], wait_for)
+                for worker in busy:
+                    if worker.conn in ready:
+                        try:
+                            payload = worker.conn.recv()
+                        except (EOFError, OSError):
+                            lost(worker, "WorkerDeath", "worker process died")
+                            continue
+                        index, attempt = worker.owed.popleft()
+                        if payload[0] == "ok":
+                            record(index, payload[1], attempt + 1)
+                        else:  # the trial's own exception: never retried
+                            fail(index, attempt + 1, *payload[1:])
+                    elif (
+                        worker.deadline is not None
+                        and worker.deadline <= time.monotonic()
+                    ):
+                        lost(
+                            worker,
+                            "Timeout",
+                            f"trial exceeded {self.timeout}s wall clock",
+                        )
+                    elif not worker.process.is_alive() and not worker.conn.poll():
+                        # dead, yet its pipe is held open by a process
+                        # forked concurrently (another sweep's worker)
+                        lost(worker, "WorkerDeath", "worker process died")
+        finally:
+            # no worker outlives its sweep, however the sweep ends
+            for worker in workers:
+                worker.stop(graceful=not worker.owed)
 
 
 # ----------------------------------------------------------------------
@@ -1120,8 +959,8 @@ def _graft_trial_spans(tracer, outcomes, attempts, resumed) -> None:
     """Attach each trial's span to the sweep tracer, in spec order.
 
     Executed trials contribute the fragment their worker recorded
-    (annotated with the attempt count when the resilient scheduler ran
-    them more than once); failed and checkpoint-resumed trials get a
+    (annotated with the attempt count when the scheduler ran them more
+    than once); failed and checkpoint-resumed trials get a
     point span so the timeline still accounts for every slot."""
     for index, outcome in enumerate(outcomes):
         attrs: Dict[str, object] = {"trial": index}
@@ -1190,31 +1029,26 @@ def run_trials(
     specs: Sequence[TrialSpec],
     *,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.1,
     checkpoint: Optional[str] = None,
-    batch_sweep: Optional[bool] = None,
-    shared_graphs: Optional[str] = None,
+    batch_sweep: bool = True,
     on_result: Optional[OnResult] = None,
     cancel: Optional[threading.Event] = None,
     deadline: Optional[float] = None,
 ) -> List[Union[RunResult, FailedTrial]]:
     """Convenience wrapper: ``TrialRunner(...).map(specs)``.  The
-    ``timeout``/``retries``/``backoff``/``checkpoint`` knobs select the
-    resilient mode; ``batch_sweep``/``shared_graphs`` tune the sweep
-    fast paths; ``on_result``/``cancel``/``deadline`` are the
+    ``timeout``/``retries``/``backoff``/``checkpoint`` knobs are the
+    resilience policies; ``on_result``/``cancel``/``deadline`` are the
     long-lived-owner hooks (see :class:`TrialRunner`)."""
     return TrialRunner(
         jobs,
-        chunksize=chunksize,
         timeout=timeout,
         retries=retries,
         backoff=backoff,
         checkpoint=checkpoint,
         batch_sweep=batch_sweep,
-        shared_graphs=shared_graphs,
         on_result=on_result,
         cancel=cancel,
         deadline=deadline,

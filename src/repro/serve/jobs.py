@@ -5,9 +5,12 @@ A *job* is one validated sweep submission: an ordered list of
 progress counters, timestamps).  The :class:`JobManager` owns
 
 * a FIFO queue drained by a bounded pool of worker threads, each
-  driving a :class:`~repro.parallel.TrialRunner` in resilient mode
-  (per-trial fork/timeout/retry/checkpoint) for the specs that
-  actually need computing;
+  driving a :class:`~repro.parallel.TrialRunner` with resilience
+  policies (timeout/retry/checkpoint) for the specs that actually need
+  computing: batch-eligible groups run as one batch-kernel call in the
+  daemon, every other trial on one of ``runner_jobs`` forked worker
+  processes per job, so a trial that kills its process cannot take the
+  daemon down;
 * the content-addressed :class:`~repro.serve.store.ResultStore` —
   every cacheable trial is leased there first, so repeated submissions
   hit the store and concurrent identical submissions coalesce onto one

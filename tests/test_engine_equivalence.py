@@ -640,10 +640,9 @@ class TestBatchSweepDispatch:
             assert strip(exposition(True, jobs)) == reference
 
 
-class TestSharedGraphEquivalence:
-    """The zero-copy handoff is invisible in results and metrics: a
-    sweep over shared-memory graphs is byte-identical to the inline
-    sweep, for either handoff policy, and leaves no segment behind."""
+class TestWorkerEquivalence:
+    """Worker processes are invisible in results and metrics: a
+    ``jobs=2`` sweep is byte-identical to the inline sweep."""
 
     def _specs(self):
         from repro.parallel import TrialSpec
@@ -656,30 +655,26 @@ class TestSharedGraphEquivalence:
                     make_protocol(key), make_graph(family, 0), ensure_rng(seed)
                 ),
                 backend="vectorized",  # ineligible for batching: the
-                # specs must actually cross the process boundary
+                # specs must actually run in the workers
             )
             for key in ("smm", "sis")
             for family in FAMILIES
             for seed in SEEDS
         ]
 
-    @pytest.mark.parametrize("policy", ("auto", "always", "never"))
-    def test_pool_results_identical_under_handoff(self, policy):
+    def test_worker_results_identical_to_inline(self):
         from repro.observability import MetricsRegistry, use_registry
-        from repro.parallel import leaked_shared_segments, run_trials
+        from repro.parallel import run_trials
 
-        def sweep(jobs, shared):
+        def sweep(jobs):
             registry = MetricsRegistry()
             with use_registry(registry):
-                results = run_trials(
-                    self._specs(), jobs=jobs, shared_graphs=shared
-                )
+                results = run_trials(self._specs(), jobs=jobs)
             return results, registry.exposition(kinds=("counter",))
 
-        inline_results, inline_counters = sweep(1, "never")
-        pool_results, pool_counters = sweep(2, policy)
-        for ref, res in zip(inline_results, pool_results):
+        inline_results, inline_counters = sweep(1)
+        worker_results, worker_counters = sweep(2)
+        for ref, res in zip(inline_results, worker_results):
             assert_equivalent(ref, res)
             assert res.backend == "vectorized"
-        assert pool_counters == inline_counters
-        assert leaked_shared_segments() == []
+        assert worker_counters == inline_counters

@@ -98,13 +98,57 @@ class TestSerializeDictLevel:
 
 class TestContentionExperimentQuick:
     def test_run_contention_small(self):
-        from repro.experiments.e11_ablations import run_contention
+        from repro.experiments.e11_ablations import (
+            _contention_note,
+            run_contention,
+        )
 
         r = run_contention(
             n=10, windows=(0.0, 0.02), jitters=(0.2,), trials=2, seed=5
         )
         assert len(r.rows) == 4  # 2 protocols x 2 windows
         assert all(row["all_stabilized"] for row in r.rows)
+        assert r.notes == [_contention_note(r.rows)]
+
+    @staticmethod
+    def _rows(smm_at_wide_window):
+        rows = []
+        for window, rounds in ((0.0, 4.0), (0.1, 30.0)):
+            for jitter, speedup in ((0.05, 1.0), (0.2, 3.0)):
+                rows.append(dict(
+                    protocol="SIS", window=window, jitter=jitter,
+                    beacon_rounds_mean=rounds / speedup,
+                    all_stabilized=True,
+                ))
+                rows.append(dict(
+                    protocol="SMM", window=window, jitter=jitter,
+                    beacon_rounds_mean=rounds,
+                    all_stabilized=window == 0.0
+                    or smm_at_wide_window(jitter),
+                ))
+        return rows
+
+    def test_note_states_a_jitter_dependent_stall(self):
+        from repro.experiments.e11_ablations import _contention_note
+
+        note = _contention_note(self._rows(lambda jitter: jitter >= 0.2))
+        assert (
+            "SMM at window 0.1 stabilizes with jitter 0.2 but stalls with "
+            "jitter 0.05" in note
+        )
+        assert "never decides" not in note
+        assert "SMM stabilizes at every jitter at window(s) 0." in note
+
+    def test_note_without_a_jitter_dependent_stall(self):
+        from repro.experiments.e11_ablations import _contention_note
+
+        note = _contention_note(self._rows(lambda jitter: False))
+        assert "Jitter never decides whether a cell stabilizes" in note
+        assert "at no jitter at window(s) 0.1" in note
+        assert "stalls with jitter" not in note
+        # SIS runs 3x faster with jitter 0.2, SMM not at all
+        assert "SIS at window 0.1 (30.00 -> 10.00)" in note
+        assert "SMM at window 0" not in note
 
 
 class TestCliCommandFunctions:

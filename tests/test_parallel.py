@@ -9,6 +9,10 @@ compared for exact equality.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -30,6 +34,23 @@ from repro.parallel import (
 from repro.parallel.trial_runner import register_protocol
 
 SMM = SynchronousMaximalMatching()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run_script(script, *args, timeout=120):
+    """Run ``script`` in a fresh interpreter against this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")] if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        env=env,
+        cwd=ROOT,
+        text=True,
+        timeout=timeout,
+    )
 
 
 # module-level so forked workers can rebuild the "protocol" by name
@@ -132,13 +153,6 @@ class TestTrialRunner:
         specs = self._specs(count=2)
         a = run_trials(specs, jobs=1)
         b = run_trials(specs, jobs=2)
-        for x, y in zip(a, b):
-            assert executions_equal(x, y)
-
-    def test_chunksize_override(self):
-        specs = self._specs(count=3)
-        a = TrialRunner(jobs=2, chunksize=1).map(specs)
-        b = TrialRunner(jobs=1).map(specs)
         for x, y in zip(a, b):
             assert executions_equal(x, y)
 
@@ -364,7 +378,6 @@ class TestOwnerHooks:
         runner = TrialRunner(
             jobs=2,
             batch_sweep=False,
-            shared_graphs="never",
             on_result=lambda i, outcome, resumed: seen.append(i),
         )
         results = runner.map(self._specs())
@@ -514,14 +527,192 @@ class TestOwnerHooks:
         assert excinfo.value.reason == "cancel"
 
 
+class TestOneScheduler:
+    """The scheduler's contracts: one worker per ``jobs`` slot for the
+    whole sweep, specs inherited rather than pickled, batch dispatch
+    under every policy, and one failure rule."""
+
+    _FORKS = """
+import json, os, sys, time
+from repro.graphs.generators import cycle_graph
+from repro.matching.smm import SynchronousMaximalMatching
+from repro.parallel import FailedTrial, TrialRunner, TrialSpec
+from repro.parallel.trial_runner import register_protocol
+
+forks = [0]
+os.register_at_fork(after_in_parent=lambda: forks.__setitem__(0, forks[0] + 1))
+
+class Hanging(SynchronousMaximalMatching):
+    def enabled_rule(self, view):
+        time.sleep(60)
+
+register_protocol("hanging", Hanging)
+specs = [TrialSpec("smm", cycle_graph(8), seed=s) for s in range(6)]
+hung = list(specs)
+hung[2] = TrialSpec("hanging", cycle_graph(8))
+sweeps = {
+    "checkpoint": (dict(jobs=1, checkpoint=sys.argv[1]), specs),
+    "retries": (dict(jobs=1, retries=1), specs),
+    "jobs2_timeout": (dict(jobs=2, timeout=30.0), specs),
+    "jobs2": (dict(jobs=2), specs),
+    "timed_out": (dict(jobs=1, timeout=2.0), hung),
+}
+counts = {}
+for name, (options, sweep) in sweeps.items():
+    before = forks[0]
+    results = TrialRunner(**options).map(sweep)
+    counts[name] = forks[0] - before
+    failed = [r.error_type for r in results if isinstance(r, FailedTrial)]
+    assert failed == (["Timeout"] if name == "timed_out" else []), failed
+print(json.dumps(counts))
+"""
+
+    def test_forks_per_sweep(self, tmp_path):
+        proc = _run_script(self._FORKS, str(tmp_path / "sweep.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert counts == {
+            "checkpoint": 1,
+            "retries": 1,
+            "jobs2_timeout": 2,
+            "jobs2": 2,
+            # the timed-out attempt costs exactly one replacement fork
+            "timed_out": 2,
+        }
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"jobs": 2},
+            {"jobs": 1, "checkpoint": True},
+            {"jobs": 2, "timeout": 60.0, "retries": 1},
+        ],
+        ids=["plain", "checkpoint", "timeout-retries"],
+    )
+    def test_no_graph_is_pickled(self, options, tmp_path, monkeypatch):
+        from repro.core.faults import random_configuration
+        from repro.engine import make_protocol
+        from repro.graphs.graph import Graph
+        from repro.rng import ensure_rng
+
+        protocol = make_protocol("smm")
+        specs = []
+        for n in (40, 340):  # both sides of the former handoff split
+            graph = erdos_renyi_graph(n, 6.0 / n, rng=n)
+            specs += [
+                TrialSpec(
+                    "smm",
+                    graph,
+                    random_configuration(protocol, graph, ensure_rng(s)),
+                    backend="vectorized",
+                )
+                for s in range(3)
+            ]
+        reference = run_trials(specs)
+        options = dict(options)
+        if options.pop("checkpoint", False):
+            options["checkpoint"] = str(tmp_path / "sweep.jsonl")
+
+        def refuse(self, *args):
+            raise AssertionError("a Graph was pickled")
+
+        monkeypatch.setattr(Graph, "__getstate__", refuse)
+        monkeypatch.setattr(Graph, "__reduce_ex__", refuse)
+        results = run_trials(specs, **options)
+        for a, b in zip(reference, results):
+            assert executions_equal(a, b)
+
+    def test_checkpointed_sweep_batches_and_resumes(self, tmp_path):
+        from repro.core.faults import random_configuration
+        from repro.engine import make_protocol
+        from repro.rng import ensure_rng
+
+        graph = erdos_renyi_graph(24, 0.2, rng=5)
+        protocol = make_protocol("smm")
+        specs = [
+            TrialSpec(
+                "smm",
+                graph,
+                random_configuration(protocol, graph, ensure_rng(s)),
+                backend="auto",
+            )
+            for s in range(4)
+        ]
+        ck = tmp_path / "sweep.jsonl"
+        first = TrialRunner(jobs=1, checkpoint=str(ck)).map(specs)
+        assert [r.backend for r in first] == ["batch"] * 4
+        lines = ck.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4
+        flags = []
+        again = TrialRunner(
+            jobs=1,
+            checkpoint=str(ck),
+            on_result=lambda i, outcome, resumed: flags.append(resumed),
+        ).map(specs)
+        assert flags == [True] * 4
+        assert ck.read_text(encoding="utf-8").splitlines() == lines
+        per_trial = run_trials(specs, batch_sweep=False)
+        for ref, a, b in zip(per_trial, first, again):
+            for res in (a, b):
+                assert (res.stabilized, res.rounds, res.moves) == (
+                    ref.stabilized, ref.rounds, ref.moves
+                )
+                assert res.moves_by_rule == ref.moves_by_rule
+                assert res.initial == ref.initial
+                assert res.final == ref.final
+                assert res.legitimate == ref.legitimate
+
+    def test_bad_configuration_in_batch_group_fails_alone(self):
+        from repro.errors import InvalidConfigurationError
+        from repro.parallel import FailedTrial
+
+        graph = cycle_graph(6)
+        good = TrialSpec("smm", graph, backend="auto")
+        bad_config = {node: None for node in graph.nodes}
+        bad_config[0] = 3  # not a neighbour of 0
+        bad = TrialSpec("smm", graph, bad_config, backend="auto")
+        result, failed = run_trials([good, bad], retries=1)
+        assert result.stabilized
+        assert isinstance(failed, FailedTrial)
+        assert failed.error_type == "InvalidConfigurationError"
+        assert failed.attempts == 1  # a trial's own error is never retried
+        with pytest.raises(InvalidConfigurationError):
+            run_trials([good, bad])
+
+    _DEATH = """
+import os
+from repro.graphs.generators import cycle_graph
+from repro.matching.smm import SynchronousMaximalMatching
+from repro.parallel import TrialRunner, TrialSpec
+from repro.parallel.trial_runner import register_protocol
+
+class Crashing(SynchronousMaximalMatching):
+    def enabled_rule(self, view):
+        os._exit(13)
+
+register_protocol("crashing", Crashing)
+specs = [TrialSpec("smm", cycle_graph(8)), TrialSpec("crashing", cycle_graph(8))]
+try:
+    TrialRunner(jobs=2).map(specs)
+except RuntimeError as exc:
+    print("RAISED", exc, flush=True)
+"""
+
+    def test_worker_death_raises_in_plain_sweep(self):
+        proc = _run_script(self._DEATH)
+        assert proc.returncode == 0, (proc.stdout, proc.stderr)
+        assert "RAISED" in proc.stdout and "WorkerDeath" in proc.stdout
+
+
 class TestSigtermDuringFork:
-    """SIGTERM delivered while a resilient sweep forks an attempt.
+    """SIGTERM delivered while a resilient sweep forks its worker.
 
     The signal handler can run inside an at-fork hook (logging's lock
     acquisition is one), where CPython prints "Exception ignored" and
     drops any exception the handler raises.  The runner must still stop
     with the conventional 128 + SIGTERM status instead of finishing the
-    sweep and exiting 0.
+    sweep and exiting 0.  The signal fires on the fork of a second
+    ``map()``, one that resumes from a 3-trial checkpoint.
     """
 
     _SCRIPT = """
@@ -529,39 +720,16 @@ import os, signal, sys
 from repro.graphs.generators import cycle_graph
 from repro.parallel import TrialRunner, TrialSpec
 
-forks = 0
-
-def before():
-    global forks
-    forks += 1
-    if forks == 3:
-        os.kill(os.getpid(), signal.SIGTERM)
-
-os.register_at_fork(before=before)
 specs = [TrialSpec("smm", cycle_graph(8), seed=s) for s in range(6)]
+TrialRunner(jobs=1, checkpoint=sys.argv[1]).map(specs[:3])
+os.register_at_fork(before=lambda: os.kill(os.getpid(), signal.SIGTERM))
 TrialRunner(jobs=1, checkpoint=sys.argv[1]).map(specs)
 print("FINISHED", flush=True)
 """
 
     def test_sigterm_in_at_fork_hook_exits_143(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [os.path.join(root, "src"), env.get("PYTHONPATH", "")] if p
-        )
         checkpoint = tmp_path / "sweep.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-c", self._SCRIPT, str(checkpoint)],
-            capture_output=True,
-            env=env,
-            cwd=root,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_script(self._SCRIPT, str(checkpoint))
         assert proc.returncode == 143, (proc.stdout, proc.stderr)
         assert "FINISHED" not in proc.stdout
         assert "Exception ignored" not in proc.stderr
