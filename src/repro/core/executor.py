@@ -18,18 +18,29 @@ this includes rounds in which every node lost its draw and nobody moved
 entries in the move log).  The distributed daemon counts its steps the
 same way; the central daemon's ``rounds`` equals ``moves`` by
 definition of the model.
+
+One round driver, :func:`_drive`, executes every daemon: it owns the
+budget ticks, zero-move rounds, per-rule accounting, history,
+telemetry, monitors, the final quiescence check and the timeout raise.
+A daemon is only its :data:`Pick` — the policy choosing which
+privileged nodes fire each tick.  :func:`run_synchronous` fires them
+all (:func:`_synchronous_pick`, which keeps the active-set decision
+cache), :func:`run_central` fires the one its strategy chooses,
+:func:`run_distributed` flips an activation coin per node, and
+:func:`repro.core.transform.run_synchronized_central` fires the
+local-mutex winners.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.daemons import CentralStrategy, make_strategy
 from repro.core.invariants import Monitor
-from repro.core.protocol import Protocol, View
+from repro.core.protocol import Protocol, Rule, View
 from repro.engine.result import RunResult
 from repro.errors import ExperimentError, StabilizationTimeout
 from repro.graphs.graph import Graph
@@ -140,22 +151,6 @@ def _final_quiescence(
     return not enabled_nodes(protocol, graph, config, rand_map)
 
 
-def _make_recorder(protocol: Protocol, graph: Graph, daemon: str):
-    """``(recorder, census_fn)`` for a telemetry-collecting run (the
-    census only applies to pointer-matching protocols)."""
-    from repro.observability import TelemetryRecorder, census_of, wants_census
-
-    recorder = TelemetryRecorder(
-        protocol.name, daemon, "reference", protocol.rule_names()
-    )
-    census_fn = None
-    if wants_census(protocol):
-        def census_fn(config):
-            return census_of(graph, config)
-
-    return recorder, census_fn
-
-
 def _resolve_config(
     protocol: Protocol, graph: Graph, config: Optional[Mapping[NodeId, object]]
 ) -> Configuration:
@@ -167,8 +162,208 @@ def _resolve_config(
 
 
 # ----------------------------------------------------------------------
+# the round driver
+# ----------------------------------------------------------------------
+#: A daemon, as :func:`_drive` sees it: ``pick(current, rand_map,
+#: step) -> (fired, scanned)``.  ``rand_map`` holds the tick's variates
+#: (``None`` for deterministic protocols) and ``step`` the rounds
+#: elapsed so far (the central daemon's moves).  ``fired`` maps every
+#: mover, in move-log order, to its ``(rule name, new state)`` and is
+#: empty exactly when no node is privileged; ``scanned`` counts the
+#: guards evaluated (telemetry's active-set size).  Any further draws
+#: (a strategy's choice, activation coins, priorities) come after the
+#: variates, from the same generator.
+Pick = Callable[
+    [Configuration, Optional[Dict[NodeId, float]], int],
+    Tuple[Dict[NodeId, Tuple[str, object]], int],
+]
+
+
+def _drive(
+    protocol: Protocol,
+    graph: Graph,
+    config: Optional[Mapping[NodeId, object]],
+    pick: Pick,
+    *,
+    gen: np.random.Generator,
+    budget: int,
+    daemon: str,
+    overrun: Optional[str] = None,
+    record_history: bool = False,
+    monitors: Sequence[Monitor] = (),
+    telemetry: bool = False,
+    recorder=None,
+    idle_rounds: bool = True,
+    round_unit: int = 1,
+) -> Execution:
+    """Step ``config`` under the daemon ``pick`` until no node is
+    privileged or ``budget`` ticks have elapsed.
+
+    Every tick draws the per-round variates first, then asks ``pick``
+    for the movers, and applies them all against the pre-tick
+    configuration.  A tick in which nobody is privileged ends the run
+    when ``protocol.is_quiescent``; otherwise (a randomized protocol's
+    unlucky draws) it is a zero-move round — an empty ``{}`` move-log
+    entry — or, with ``idle_rounds=False`` (the central daemon, whose
+    rounds are its moves), it only consumes budget.  On exhaustion a
+    final randomness-free quiescence check runs.
+
+    Monitors see the start, every round (1-based round index) and the
+    finished record.  ``telemetry=True`` records a
+    :class:`~repro.observability.RunTelemetry` onto the result; an
+    external ``recorder`` (a fault campaign's) instead only observes
+    the rounds.  The result reports ``rounds × round_unit`` rounds, and
+    an unstabilized run raises :class:`StabilizationTimeout` with the
+    message ``overrun`` when one is given.
+    """
+    current = _resolve_config(protocol, graph, config)
+    initial = current
+    moves_by_rule: Dict[str, int] = {name: 0 for name in protocol.rule_names()}
+    move_log: List[Dict[NodeId, str]] = []
+    history: Optional[List[Configuration]] = [current] if record_history else None
+
+    census_fn = None
+    if telemetry or recorder is not None:
+        from repro.observability import TelemetryRecorder, census_of, wants_census
+
+        if telemetry:
+            recorder = TelemetryRecorder(
+                protocol.name, daemon, "reference", protocol.rule_names()
+            )
+        if wants_census(protocol):
+            def census_fn(cfg):
+                return census_of(graph, cfg)
+
+            if telemetry:
+                recorder.record_census(census_fn(current))
+
+    for monitor in monitors:
+        monitor.on_start(graph, current)
+
+    if telemetry:
+        recorder.begin_rounds()
+    stabilized = False
+    rounds = 0
+    ticks = 0
+    while ticks < budget:
+        ticks += 1
+        fired, scanned = pick(current, _rand_map(protocol, graph, gen), rounds)
+        log: Dict[NodeId, str] = {}
+        if fired:
+            changes: Dict[NodeId, object] = {}
+            for node, (name, value) in fired.items():
+                log[node] = name
+                changes[node] = value
+                moves_by_rule[name] += 1
+            current = current.updated(changes)
+        elif protocol.is_quiescent(graph, current):
+            stabilized = True
+            break
+        elif not idle_rounds:
+            continue
+        # else: a randomized protocol's unlucky draws — the round still
+        # happened (beacons were exchanged); count it and redraw
+        rounds += 1
+        move_log.append(log)
+        if history is not None:
+            history.append(current)
+        if recorder is not None:
+            counts: Dict[str, int] = {}
+            for name in log.values():
+                counts[name] = counts.get(name, 0) + 1
+            recorder.on_round(
+                counts,
+                scanned,
+                census_fn(current) if census_fn is not None else None,
+            )
+        for monitor in monitors:
+            monitor.on_round(rounds, current)
+    else:  # budget exhausted without break — one final quiescence check
+        stabilized = _final_quiescence(protocol, graph, current)
+
+    if telemetry:
+        recorder.begin_finalize()
+    execution = Execution(
+        protocol_name=protocol.name,
+        daemon=daemon,
+        stabilized=stabilized,
+        rounds=rounds * round_unit,
+        moves=sum(moves_by_rule.values()),
+        moves_by_rule=moves_by_rule,
+        initial=initial,
+        final=current,
+        move_log=move_log,
+        history=history,
+        legitimate=protocol.is_legitimate(graph, current),
+    )
+    if telemetry:
+        execution.telemetry = recorder.finish()
+    for monitor in monitors:
+        monitor.on_finish(execution)
+    if overrun is not None and not stabilized:
+        raise StabilizationTimeout(overrun, execution)
+    return execution
+
+
+def _privileged(
+    protocol: Protocol,
+    graph: Graph,
+    config: Configuration,
+    rand_map: Optional[Mapping[NodeId, float]],
+) -> Dict[NodeId, Tuple[Rule, View]]:
+    """Every privileged node, in node order, with its enabled rule and
+    the view that rule fires on — the full guard scan of the central,
+    distributed and refined daemons."""
+    out = {}
+    for node in graph.nodes:
+        view = build_view(protocol, graph, config, node, rand_map)
+        rule = protocol.enabled_rule(view)
+        if rule is not None:
+            out[node] = (rule, view)
+    return out
+
+
+# ----------------------------------------------------------------------
 # synchronous daemon (the paper's model)
 # ----------------------------------------------------------------------
+def _synchronous_pick(protocol: Protocol, graph: Graph, active_set: bool) -> Pick:
+    """Every privileged node fires.
+
+    The pick caches every privileged node's pending decision and, with
+    ``active_set``, re-evaluates only the nodes whose closed
+    neighbourhood changed in the previous round (see
+    :func:`run_synchronous`); randomized protocols rescan every node.
+    """
+    track = active_set and not protocol.uses_randomness
+    # decisions[i] = (rule name, new state) for every currently
+    # privileged node i, valid for the current configuration; dirty is
+    # the set of nodes whose entry must be recomputed this round.
+    decisions: Dict[NodeId, Tuple[str, object]] = {}
+    dirty: Sequence[NodeId] = graph.nodes
+
+    def pick(current, rand_map, step):
+        nonlocal dirty
+        scanned = len(dirty)
+        for node in dirty:
+            view = build_view(protocol, graph, current, node, rand_map)
+            rule = protocol.enabled_rule(view)
+            if rule is None:
+                decisions.pop(node, None)
+            else:
+                decisions[node] = (rule.name, rule.fire(view))
+        fired = {node: decisions[node] for node in sorted(decisions)}
+        if track and fired:
+            touched = set()
+            for node, (_, value) in fired.items():
+                if current[node] != value:
+                    touched.add(node)
+                    touched.update(graph.neighbors(node))
+            dirty = sorted(touched)
+        return fired, scanned
+
+    return pick
+
+
 def run_synchronous(
     protocol: Protocol,
     graph: Graph,
@@ -228,13 +423,14 @@ def run_synchronous(
     A node's guards and actions read only its own and its neighbours'
     states, so its decision can change between rounds only if some node
     of its *closed neighbourhood* changed state (after round 1 the set
-    of such nodes only shrinks — Lemmas 1–7).  The executor therefore
-    caches every node's pending decision and, per round, recomputes
-    only the nodes whose closed neighbourhood changed in the previous
-    round; all currently privileged nodes still fire simultaneously, so
-    round semantics are byte-identical to the full scan.  Randomized
-    protocols draw fresh variates every round, which invalidates every
-    cached decision: they always run the full scan.
+    of such nodes only shrinks — Lemmas 1–7).  The daemon's pick
+    (:func:`_synchronous_pick`) therefore caches every node's pending
+    decision and, per round, recomputes only the nodes whose closed
+    neighbourhood changed in the previous round; all currently
+    privileged nodes still fire simultaneously, so round semantics are
+    byte-identical to the full scan.  Randomized protocols draw fresh
+    variates every round, which invalidates every cached decision: they
+    always run the full scan.
     """
     if fault_plan is not None:
         from repro.resilience.campaign import run_reference_campaign
@@ -252,122 +448,24 @@ def run_synchronous(
             active_set=active_set,
             telemetry=telemetry,
         )
-    gen = ensure_rng(rng)
-    current = _resolve_config(protocol, graph, config)
-    initial = current
     budget = _default_round_budget(graph) if max_rounds is None else max_rounds
-
-    moves_by_rule: Dict[str, int] = {name: 0 for name in protocol.rule_names()}
-    move_log: List[Dict[NodeId, str]] = []
-    history: Optional[List[Configuration]] = [current] if record_history else None
-
-    recorder = census_fn = None
-    if telemetry:
-        recorder, census_fn = _make_recorder(protocol, graph, "synchronous")
-        if census_fn is not None:
-            recorder.record_census(census_fn(current))
-
-    for monitor in monitors:
-        monitor.on_start(graph, current)
-
-    stabilized = False
-    rounds = 0
-    track = active_set and not protocol.uses_randomness
-    # decisions[i] = (rule name, new state) for every currently
-    # privileged node i, valid for the current configuration; dirty is
-    # the set of nodes whose entry must be recomputed this round.
-    decisions: Dict[NodeId, Tuple[str, object]] = {}
-    dirty: Iterable[NodeId] = graph.nodes
-    if recorder is not None:
-        recorder.begin_rounds()
-    while rounds < budget:
-        scanned = len(dirty) if recorder is not None else 0  # type: ignore[arg-type]
-        rand_map = _rand_map(protocol, graph, gen)
-        for node in dirty:
-            view = build_view(protocol, graph, current, node, rand_map)
-            rule = protocol.enabled_rule(view)
-            if rule is None:
-                decisions.pop(node, None)
-            else:
-                decisions[node] = (rule.name, rule.fire(view))
-        if not decisions:
-            if protocol.is_quiescent(graph, current):
-                stabilized = True
-                break
-            # Randomized protocol, unlucky draws: the round still
-            # happened (beacons were exchanged) but nobody won — count
-            # it and redraw next iteration.
-            rounds += 1
-            move_log.append({})
-            if history is not None:
-                history.append(current)
-            if recorder is not None:
-                recorder.on_round(
-                    {},
-                    scanned,
-                    census_fn(current) if census_fn is not None else None,
-                )
-            for monitor in monitors:
-                monitor.on_round(rounds, current)
-            continue
-        changes: Dict[NodeId, object] = {}
-        fired: Dict[NodeId, str] = {}
-        for node in sorted(decisions):
-            name, value = decisions[node]
-            fired[node] = name
-            changes[node] = value
-        if track:
-            touched = set()
-            for node, value in changes.items():
-                if current[node] != value:
-                    touched.add(node)
-                    touched.update(graph.neighbors(node))
-            dirty = sorted(touched)
-        current = current.updated(changes)
-        rounds += 1
-        for name in fired.values():
-            moves_by_rule[name] += 1
-        move_log.append(fired)
-        if history is not None:
-            history.append(current)
-        if recorder is not None:
-            round_counts: Dict[str, int] = {}
-            for name in fired.values():
-                round_counts[name] = round_counts.get(name, 0) + 1
-            recorder.on_round(
-                round_counts,
-                scanned,
-                census_fn(current) if census_fn is not None else None,
-            )
-        for monitor in monitors:
-            monitor.on_round(rounds, current)
-    else:  # budget exhausted without break — one final quiescence check
-        stabilized = _final_quiescence(protocol, graph, current)
-
-    if recorder is not None:
-        recorder.begin_finalize()
-    execution = Execution(
-        protocol_name=protocol.name,
+    return _drive(
+        protocol,
+        graph,
+        config,
+        _synchronous_pick(protocol, graph, active_set),
+        gen=ensure_rng(rng),
+        budget=budget,
         daemon="synchronous",
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=current,
-        move_log=move_log,
-        history=history,
-        legitimate=protocol.is_legitimate(graph, current),
+        overrun=(
+            f"{protocol.name} exceeded {budget} synchronous rounds"
+            if raise_on_timeout
+            else None
+        ),
+        record_history=record_history,
+        monitors=monitors,
+        telemetry=telemetry,
     )
-    if recorder is not None:
-        execution.telemetry = recorder.finish()
-    for monitor in monitors:
-        monitor.on_finish(execution)
-    if raise_on_timeout and not execution.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", execution
-        )
-    return execution
 
 
 # ----------------------------------------------------------------------
@@ -405,84 +503,34 @@ def run_central(
     gen = ensure_rng(rng)
     chooser = make_strategy(strategy)
     chooser.reset()
-    current = _resolve_config(protocol, graph, config)
-    initial = current
+
+    def pick(current, rand_map, step):
+        privileged = _privileged(protocol, graph, current, rand_map)
+        if not privileged:
+            return {}, graph.n
+        node = chooser.choose(tuple(privileged), current, graph, step, gen)
+        rule, view = privileged[node]
+        return {node: (rule.name, rule.fire(view))}, graph.n
+
     budget = max_moves if max_moves is not None else 4 * graph.n * graph.n + 100
-
-    moves_by_rule: Dict[str, int] = {name: 0 for name in protocol.rule_names()}
-    move_log: List[Dict[NodeId, str]] = []
-    history: Optional[List[Configuration]] = [current] if record_history else None
-
-    recorder = census_fn = None
-    if telemetry:
-        recorder, census_fn = _make_recorder(
-            protocol, graph, f"central:{type(chooser).__name__}"
-        )
-        if census_fn is not None:
-            recorder.record_census(census_fn(current))
-
-    for monitor in monitors:
-        monitor.on_start(graph, current)
-
-    stabilized = False
-    moves = 0
-    ticks = 0
-    if recorder is not None:
-        recorder.begin_rounds()
-    while ticks < budget:
-        ticks += 1
-        rand_map = _rand_map(protocol, graph, gen)
-        enabled = enabled_nodes(protocol, graph, current, rand_map)
-        if not enabled:
-            if protocol.is_quiescent(graph, current):
-                stabilized = True
-                break
-            continue  # randomized protocol, unlucky draws: redraw
-        node = chooser.choose(enabled, current, graph, moves, gen)
-        view = build_view(protocol, graph, current, node, rand_map)
-        rule = protocol.enabled_rule(view)
-        assert rule is not None  # node came from the enabled set
-        current = current.updated({node: rule.fire(view)})
-        moves += 1
-        moves_by_rule[rule.name] += 1
-        move_log.append({node: rule.name})
-        if history is not None:
-            history.append(current)
-        if recorder is not None:
-            recorder.on_round(
-                {rule.name: 1},
-                graph.n,
-                census_fn(current) if census_fn is not None else None,
-            )
-        for monitor in monitors:
-            monitor.on_round(moves, current)
-    else:  # budget exhausted without break — one final quiescence check
-        stabilized = _final_quiescence(protocol, graph, current)
-
-    if recorder is not None:
-        recorder.begin_finalize()
-    execution = Execution(
-        protocol_name=protocol.name,
+    return _drive(
+        protocol,
+        graph,
+        config,
+        pick,
+        gen=gen,
+        budget=budget,
         daemon=f"central:{type(chooser).__name__}",
-        stabilized=stabilized,
-        rounds=moves,
-        moves=moves,
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=current,
-        move_log=move_log,
-        history=history,
-        legitimate=protocol.is_legitimate(graph, current),
+        overrun=(
+            f"{protocol.name} exceeded {budget} central-daemon moves"
+            if raise_on_timeout
+            else None
+        ),
+        record_history=record_history,
+        monitors=monitors,
+        telemetry=telemetry,
+        idle_rounds=False,
     )
-    if recorder is not None:
-        execution.telemetry = recorder.finish()
-    for monitor in monitors:
-        monitor.on_finish(execution)
-    if raise_on_timeout and not execution.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} central-daemon moves", execution
-        )
-    return execution
 
 
 # ----------------------------------------------------------------------
@@ -528,105 +576,37 @@ def run_distributed(
     if not 0.0 <= activation_probability <= 1.0:
         raise ValueError("activation_probability must lie in [0, 1]")
     gen = ensure_rng(rng)
-    current = _resolve_config(protocol, graph, config)
-    initial = current
-    budget = max_steps if max_steps is not None else 20 * graph.n + 200
 
-    moves_by_rule: Dict[str, int] = {name: 0 for name in protocol.rule_names()}
-    move_log: List[Dict[NodeId, str]] = []
-    history: Optional[List[Configuration]] = [current] if record_history else None
-
-    recorder = census_fn = None
-    if telemetry:
-        recorder, census_fn = _make_recorder(protocol, graph, "distributed")
-        if census_fn is not None:
-            recorder.record_census(census_fn(current))
-
-    for monitor in monitors:
-        monitor.on_start(graph, current)
-
-    stabilized = False
-    steps = 0
-    ticks = 0
-    if recorder is not None:
-        recorder.begin_rounds()
-    while ticks < budget:
-        ticks += 1
-        rand_map = _rand_map(protocol, graph, gen)
-        enabled = enabled_nodes(protocol, graph, current, rand_map)
-        if not enabled:
-            if protocol.is_quiescent(graph, current):
-                stabilized = True
-                break
-            # Randomized protocol, unlucky draws: the tick still
-            # happened — count it, like the synchronous daemon does.
-            steps += 1
-            move_log.append({})
-            if history is not None:
-                history.append(current)
-            if recorder is not None:
-                recorder.on_round(
-                    {},
-                    graph.n,
-                    census_fn(current) if census_fn is not None else None,
-                )
-            for monitor in monitors:
-                monitor.on_round(steps, current)
-            continue
+    def pick(current, rand_map, step):
+        privileged = _privileged(protocol, graph, current, rand_map)
+        if not privileged:
+            return {}, graph.n
+        enabled = tuple(privileged)
         mask = gen.random(len(enabled)) < activation_probability
         active = [node for node, m in zip(enabled, mask) if m]
         if not active:
             active = [enabled[int(gen.integers(len(enabled)))]]
-        changes: Dict[NodeId, object] = {}
-        fired: Dict[NodeId, str] = {}
+        fired = {}
         for node in active:
-            view = build_view(protocol, graph, current, node, rand_map)
-            rule = protocol.enabled_rule(view)
-            assert rule is not None
-            changes[node] = rule.fire(view)
-            fired[node] = rule.name
-        current = current.updated(changes)
-        steps += 1
-        for name in fired.values():
-            moves_by_rule[name] += 1
-        move_log.append(fired)
-        if history is not None:
-            history.append(current)
-        if recorder is not None:
-            round_counts: Dict[str, int] = {}
-            for name in fired.values():
-                round_counts[name] = round_counts.get(name, 0) + 1
-            recorder.on_round(
-                round_counts,
-                graph.n,
-                census_fn(current) if census_fn is not None else None,
-            )
-        for monitor in monitors:
-            monitor.on_round(steps, current)
-    else:  # budget exhausted without break — one final quiescence check
-        stabilized = _final_quiescence(protocol, graph, current)
+            rule, view = privileged[node]
+            fired[node] = (rule.name, rule.fire(view))
+        return fired, graph.n
 
-    if recorder is not None:
-        recorder.begin_finalize()
-    execution = Execution(
-        protocol_name=protocol.name,
+    budget = max_steps if max_steps is not None else 20 * graph.n + 200
+    return _drive(
+        protocol,
+        graph,
+        config,
+        pick,
+        gen=gen,
+        budget=budget,
         daemon="distributed",
-        stabilized=stabilized,
-        rounds=steps,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=current,
-        move_log=move_log,
-        history=history,
-        legitimate=protocol.is_legitimate(graph, current),
+        overrun=(
+            f"{protocol.name} exceeded {budget} distributed steps"
+            if raise_on_timeout
+            else None
+        ),
+        record_history=record_history,
+        monitors=monitors,
+        telemetry=telemetry,
     )
-    if recorder is not None:
-        execution.telemetry = recorder.finish()
-    for monitor in monitors:
-        monitor.on_finish(execution)
-    if raise_on_timeout and not execution.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} distributed steps", execution
-        )
-    return execution

@@ -38,17 +38,10 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.configuration import Configuration
-from repro.core.executor import (
-    Execution,
-    _final_quiescence,
-    _make_recorder,
-    _resolve_config,
-    build_view,
-)
+from repro.core.executor import Execution, _drive, _privileged
 from repro.core.invariants import Monitor
 from repro.core.protocol import Protocol
-from repro.errors import ProtocolError, StabilizationTimeout
+from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
@@ -104,8 +97,8 @@ def run_synchronized_central(
     ``count_beacon_rounds=True`` the returned execution reports rounds
     in beacon time (refinement rounds × :data:`BEACON_ROUNDS_PER_STEP`),
     which is the honest unit for comparing against SMM in E5 — the
-    attached telemetry (``telemetry=True``) always counts refinement
-    rounds.
+    attached telemetry (``telemetry=True``) and the monitors' round
+    index always count refinement rounds.
     """
     if fault_plan is not None:
         from repro.errors import ExperimentError
@@ -115,126 +108,43 @@ def run_synchronized_central(
             "synchronized-central daemon; use the synchronous daemon"
         )
     gen = ensure_rng(rng)
-    current = _resolve_config(protocol, graph, config)
-    initial = current
-    budget = max_rounds if max_rounds is not None else 20 * graph.n * graph.n + 200
 
-    moves_by_rule: Dict[str, int] = {name: 0 for name in protocol.rule_names()}
-    move_log = []
-    history = [current] if record_history else None
-
-    recorder = census_fn = None
-    if telemetry:
-        recorder, census_fn = _make_recorder(
-            protocol, graph, f"sync-central-refined:{priority}"
-        )
-        if census_fn is not None:
-            recorder.record_census(census_fn(current))
-
-    for monitor in monitors:
-        monitor.on_start(graph, current)
-
-    if recorder is not None:
-        recorder.begin_rounds()
-    stabilized = False
-    rounds = 0
-    while rounds < budget:
-        rand_map = None
-        if protocol.uses_randomness:
-            draws = gen.random(graph.n)
-            rand_map = {
-                node: float(draws[k]) for k, node in enumerate(graph.nodes)
-            }
-        # which nodes are privileged, and with which rule
-        enabled_rules = {}
-        for node in graph.nodes:
-            view = build_view(protocol, graph, current, node, rand_map)
-            rule = protocol.enabled_rule(view)
-            if rule is not None:
-                enabled_rules[node] = (rule, view)
-        if not enabled_rules:
-            if protocol.is_quiescent(graph, current):
-                stabilized = True
-                break
-            rounds += 1  # randomized guards: nobody won; redraw
-            move_log.append({})
-            if history is not None:
-                history.append(current)
-            if recorder is not None:
-                recorder.on_round(
-                    {},
-                    graph.n,
-                    census_fn(current) if census_fn is not None else None,
-                )
-            for monitor in monitors:
-                monitor.on_round(rounds, current)
-            continue
+    def pick(current, rand_map, step):
+        privileged = _privileged(protocol, graph, current, rand_map)
+        if not privileged:
+            return {}, graph.n
         prio = _priorities(priority, graph, gen)
-        movers = [
-            node
-            for node in enabled_rules
+        fired = {}
+        for node, (rule, view) in privileged.items():
             if all(
                 prio[node] > prio[j]
                 for j in graph.neighbors(node)
-                if j in enabled_rules
-            )
-        ]
-        if not movers:
+                if j in privileged
+            ):
+                fired[node] = (rule.name, rule.fire(view))
+        if not fired:
             raise ProtocolError(
                 "local mutex produced an empty mover set with privileged "
                 "nodes present (priority scheme must be a total order)"
             )
-        changes = {}
-        fired = {}
-        for node in movers:
-            rule, view = enabled_rules[node]
-            changes[node] = rule.fire(view)
-            fired[node] = rule.name
-        current = current.updated(changes)
-        rounds += 1
-        for name in fired.values():
-            moves_by_rule[name] += 1
-        move_log.append(fired)
-        if history is not None:
-            history.append(current)
-        if recorder is not None:
-            round_counts: Dict[str, int] = {}
-            for name in fired.values():
-                round_counts[name] = round_counts.get(name, 0) + 1
-            recorder.on_round(
-                round_counts,
-                graph.n,
-                census_fn(current) if census_fn is not None else None,
-            )
-        for monitor in monitors:
-            monitor.on_round(rounds, current)
-    else:
-        stabilized = _final_quiescence(protocol, graph, current)
+        return fired, graph.n
 
-    if recorder is not None:
-        recorder.begin_finalize()
-    reported_rounds = (
-        rounds * BEACON_ROUNDS_PER_STEP if count_beacon_rounds else rounds
-    )
-    execution = Execution(
-        protocol_name=protocol.name,
+    budget = max_rounds if max_rounds is not None else 20 * graph.n * graph.n + 200
+    return _drive(
+        protocol,
+        graph,
+        config,
+        pick,
+        gen=gen,
+        budget=budget,
         daemon=f"sync-central-refined:{priority}",
-        stabilized=stabilized,
-        rounds=reported_rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=current,
-        move_log=move_log,
-        history=history,
-        legitimate=protocol.is_legitimate(graph, current),
+        overrun=(
+            f"{protocol.name} (refined) exceeded {budget} rounds"
+            if raise_on_timeout
+            else None
+        ),
+        record_history=record_history,
+        monitors=monitors,
+        telemetry=telemetry,
+        round_unit=BEACON_ROUNDS_PER_STEP if count_beacon_rounds else 1,
     )
-    if recorder is not None:
-        execution.telemetry = recorder.finish()
-    for monitor in monitors:
-        monitor.on_finish(execution)
-    if raise_on_timeout and not execution.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} (refined) exceeded {budget} rounds", execution
-        )
-    return execution

@@ -29,14 +29,22 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.engine.result import RunResult
 from repro.errors import ExperimentError
 
-#: Daemons the engine can dispatch to (the budget keyword differs per
-#: daemon: max_rounds / max_moves / max_rounds / max_steps).
-DAEMONS: Tuple[str, ...] = (
-    "synchronous",
-    "central",
-    "synchronized-central",
-    "distributed",
-)
+#: daemon -> (module, reference entry point, budget keyword).  The
+#: entry point is looked up as a module attribute on every call, so a
+#: runner wrapped or patched after import is the one that runs.
+_REFERENCE_RUNNERS: Dict[str, Tuple[str, str, str]] = {
+    "synchronous": ("repro.core.executor", "run_synchronous", "max_rounds"),
+    "central": ("repro.core.executor", "run_central", "max_moves"),
+    "synchronized-central": (
+        "repro.core.transform",
+        "run_synchronized_central",
+        "max_rounds",
+    ),
+    "distributed": ("repro.core.executor", "run_distributed", "max_steps"),
+}
+
+#: Daemons the engine can dispatch to.
+DAEMONS: Tuple[str, ...] = tuple(_REFERENCE_RUNNERS)
 
 #: Registered protocol factories, keyed by the names trial specs carry.
 PROTOCOLS: Dict[str, Callable[[], object]] = {}
@@ -203,57 +211,21 @@ def _reference_runner(daemon: str) -> Runner:
         raise_on_timeout=False,
         **options,
     ) -> RunResult:
-        from repro.core import executor
-
-        if daemon == "synchronous":
-            return executor.run_synchronous(
-                protocol,
-                graph,
-                config,
-                rng=rng,
-                max_rounds=max_rounds,
-                record_history=record_history,
-                raise_on_timeout=raise_on_timeout,
-                **options,
+        if daemon not in _REFERENCE_RUNNERS:  # pragma: no cover - guarded upstream
+            raise ExperimentError(
+                f"unknown daemon {daemon!r}; known: {list(DAEMONS)}"
             )
-        if daemon == "central":
-            return executor.run_central(
-                protocol,
-                graph,
-                config,
-                rng=rng,
-                max_moves=max_rounds,
-                record_history=record_history,
-                raise_on_timeout=raise_on_timeout,
-                **options,
-            )
-        if daemon == "synchronized-central":
-            from repro.core.transform import run_synchronized_central
-
-            return run_synchronized_central(
-                protocol,
-                graph,
-                config,
-                rng=rng,
-                max_rounds=max_rounds,
-                record_history=record_history,
-                raise_on_timeout=raise_on_timeout,
-                **options,
-            )
-        if daemon == "distributed":
-            return executor.run_distributed(
-                protocol,
-                graph,
-                config,
-                rng=rng,
-                max_steps=max_rounds,
-                record_history=record_history,
-                raise_on_timeout=raise_on_timeout,
-                **options,
-            )
-        raise ExperimentError(
-            f"unknown daemon {daemon!r}; known: {list(DAEMONS)}"
-        )  # pragma: no cover - guarded upstream
+        module, entry, budget_keyword = _REFERENCE_RUNNERS[daemon]
+        return getattr(importlib.import_module(module), entry)(
+            protocol,
+            graph,
+            config,
+            rng=rng,
+            record_history=record_history,
+            raise_on_timeout=raise_on_timeout,
+            **{budget_keyword: max_rounds},
+            **options,
+        )
 
     return runner
 

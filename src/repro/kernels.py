@@ -7,7 +7,9 @@ decision recomputed.  :func:`drive` is the one loop that does so — plain
 runs, telemetry runs, fault-campaign segments and stream segments differ
 only in the frontier they seed and the observer they pass — and
 :func:`run_engine` is the engine adapter every kernel backend registers.
-The kernels supply only their per-round decisions.  The helpers here
+:func:`drive_batch` is the batch kernels' loop over a ``(k, n)`` matrix
+of independent runs.  The kernels supply only their per-round
+decisions.  The helpers here
 turn a set of dirty rows of a CSR adjacency into flat entry positions
 without any per-row Python loop, and provide the packed state layout
 primitives shared by the single-run and batch kernels:
@@ -27,6 +29,8 @@ See docs/performance.md ("State layout & memory") for the layout rules.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable, Optional
 
 import numpy as np
@@ -227,6 +231,50 @@ def drive(
         else:
             dirty = closed_neighborhood(kernel._indptr, kernel._indices, movers)
     return stabilized, rounds, dict(zip(kernel.RULES, totals)), dirty
+
+
+def drive_batch(decide, state: np.ndarray, budget: int, rules: tuple):
+    """Step every row of the ``(k, n)`` matrix ``state`` in place until
+    it stops moving or ``budget`` rounds have been applied.
+
+    The row-compaction loop of the batch kernels
+    (:mod:`repro.matching.smm_batch`, :mod:`repro.mis.sis_batch`):
+    ``decide(rows) -> (new_rows, masks)`` is one synchronous round for a
+    sub-matrix of rows, with one ``(r, n)`` bool firing mask per name in
+    ``rules``.  Each round steps only the rows that moved in the last
+    one.  A quiescent row is at its fixpoint (no rule can fire again
+    under the synchronous daemon), so dropping it changes nothing
+    observable — counts, rounds and finals stay byte-identical — while
+    the per-round cost shrinks from k·n to |live|·n.  At most
+    ``budget`` rounds are applied (the cap of the single-run kernels
+    and the reference engine, so round counts agree even on timeouts);
+    the rows still live then are re-checked once.
+
+    Returns ``(stabilized, rounds, moves_by_rule)``: a ``(k,)`` bool
+    array, a ``(k,)`` int array and one ``(k,)`` int array per rule.
+    """
+    k = state.shape[0]
+    rounds = np.zeros(k, dtype=np.int64)
+    moves_by_rule = {name: np.zeros(k, dtype=np.int64) for name in rules}
+    live = np.arange(k)
+    for _ in range(budget):
+        new_rows, masks = decide(state[live])
+        moved = functools.reduce(operator.or_, masks).any(axis=1)
+        if not moved.any():
+            live = live[:0]
+            break
+        live = live[moved]
+        for name, mask in zip(rules, masks):
+            moves_by_rule[name][live] += mask[moved].sum(axis=1)
+        state[live] = new_rows[moved]
+        rounds[live] += 1
+    else:  # budget exhausted: which live rows are still moving?
+        if live.size:
+            _, masks = decide(state[live])
+            live = live[functools.reduce(operator.or_, masks).any(axis=1)]
+    stabilized = np.ones(k, dtype=bool)
+    stabilized[live] = False
+    return stabilized, rounds, moves_by_rule
 
 
 def observer(recorder, kernel) -> Observer:

@@ -22,10 +22,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 from repro.core.configuration import Configuration
-from repro.core.executor import run_synchronous
+from repro.engine import run
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-from repro.matching.smm import SynchronousMaximalMatching
 from repro.types import NodeId, Pointer
 
 
@@ -93,14 +92,20 @@ def worst_case_rounds(
     """Rounds of the slowest adversarial start (and its label).
 
     Every run is verified to stabilize within Theorem 1's bound; a
-    budget overrun raises through the executor.
+    budget overrun raises through the engine.  Runs go through
+    :func:`repro.engine.run` with ``backend="auto"``: the SMM kernel
+    where it applies, the reference engine otherwise.
     """
-    protocol = SynchronousMaximalMatching()
     budget = max_rounds if max_rounds is not None else graph.n + 2
     worst = (-1, "none")
     for label, config in adversarial_configurations(graph):
-        execution = run_synchronous(
-            protocol, graph, config, max_rounds=budget, raise_on_timeout=True
+        execution = run(
+            "smm",
+            graph,
+            config,
+            backend="auto",
+            max_rounds=budget,
+            raise_on_timeout=True,
         )
         if execution.rounds > worst[0]:
             worst = (execution.rounds, label)

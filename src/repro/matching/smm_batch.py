@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
-from repro.kernels import SMM_NULL, state_dtype
+from repro.kernels import SMM_NULL, drive_batch, state_dtype
 from repro.matching.smm_vectorized import VectorizedSMM
 
 
@@ -86,14 +86,12 @@ class BatchSMM:
         Returns ``(new_ptrs, moved)`` where ``moved`` is a (k,) bool
         array flagging rows in which at least one rule fired.
         """
-        new_ptrs, r1, r2, r3 = self._step_rules(ptrs)
+        new_ptrs, (r1, r2, r3) = self._step_rules(ptrs)
         return new_ptrs, (r1 | r2 | r3).any(axis=1)
 
-    def _step_rules(
-        self, ptrs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _step_rules(self, ptrs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """One round, returning the per-rule firing masks as well —
-        ``(new_ptrs, r1, r2, r3)``, each mask (k, n) bool."""
+        ``(new_ptrs, (r1, r2, r3))``, each mask (k, n) bool."""
         k, n = ptrs.shape
         assert n == self.n
         indices = self._indices
@@ -129,7 +127,7 @@ class BatchSMM:
         new_ptrs[r1] = min_proposer[r1]
         new_ptrs[r2] = min_null[r2]
         new_ptrs[r3] = SMM_NULL
-        return new_ptrs, r1, r2, r3
+        return new_ptrs, (r1, r2, r3)
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -144,56 +142,26 @@ class BatchSMM:
         ``configs`` is a sequence of mappings or a prepared (k, n) int
         matrix.  Already-stabilized rows are frozen (their pointers no
         longer change), so mixed batches cost only as many rounds as
-        the slowest member.
+        the slowest member (:func:`repro.kernels.drive_batch`).
         """
         if isinstance(configs, np.ndarray):
             ptrs = configs.astype(self._dtype, copy=True)
         else:
             ptrs = self.encode_batch(configs)
-        k = ptrs.shape[0]
         budget = max_rounds if max_rounds is not None else self.n + 8
-
-        rounds = np.zeros(k, dtype=np.int64)
-        moves_by_rule = {
-            name: np.zeros(k, dtype=np.int64) for name in ("R1", "R2", "R3")
-        }
-        # Row compaction: each round steps only the rows still moving.
-        # A quiescent row is at its fixpoint (no rule can fire again
-        # under the synchronous daemon), so dropping it changes nothing
-        # observable — counts, rounds and finals stay byte-identical —
-        # while the per-round cost shrinks from k·n to |live|·n.  At
-        # most `budget` rounds are applied — same cap as the single-run
-        # kernel and the reference engine, so round counts agree even
-        # on timeouts.
-        live = np.arange(k)
-        for _ in range(budget):
-            new_sub, r1, r2, r3 = self._step_rules(ptrs[live])
-            moved_sub = (r1 | r2 | r3).any(axis=1)
-            if not moved_sub.any():
-                live = live[:0]
-                break
-            moved_idx = live[moved_sub]
-            for name, mask in (("R1", r1), ("R2", r2), ("R3", r3)):
-                moves_by_rule[name][moved_idx] += mask[moved_sub].sum(axis=1)
-            ptrs[moved_idx] = new_sub[moved_sub]
-            rounds[moved_idx] += 1
-            live = moved_idx
-        else:  # budget exhausted: which live rows are still moving?
-            if live.size:
-                _, moved_sub = self.step_batch(ptrs[live])
-                live = live[moved_sub]
-        active = np.zeros(k, dtype=bool)
-        active[live] = True
-
+        stabilized, rounds, moves_by_rule = drive_batch(
+            self._step_rules, ptrs, budget, ("R1", "R2", "R3")
+        )
         result = BatchResult(
-            stabilized=~active,
+            stabilized=stabilized,
             rounds=rounds,
             final_ptr=ptrs,
             moves_by_rule=moves_by_rule,
         )
         if raise_on_timeout and not result.all_stabilized:
             raise StabilizationTimeout(
-                f"batch SMM: {int(active.sum())} runs exceeded {budget} rounds",
+                f"batch SMM: {int((~stabilized).sum())} runs exceeded "
+                f"{budget} rounds",
                 result,
             )
         return result

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
+from repro.kernels import drive_batch
 from repro.mis.sis_vectorized import VectorizedSIS
 
 
@@ -71,6 +72,12 @@ class BatchSIS:
         blocked[:, self._seg_empty] = False
         return (~blocked).astype(np.uint8)
 
+    def _decide(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """One round with its firing masks: R1 joins, R2 leaves."""
+        new = self.step_batch(xs)
+        changed = new != xs
+        return new, (changed & (new == 1), changed & (new == 0))
+
     def run_batch(
         self,
         configs,
@@ -78,55 +85,26 @@ class BatchSIS:
         max_rounds: Optional[int] = None,
         raise_on_timeout: bool = False,
     ) -> BatchResult:
-        """Run every row to its fixpoint (or the shared budget)."""
+        """Run every row to its fixpoint (or the shared budget), with the
+        row compaction of :func:`repro.kernels.drive_batch`."""
         if isinstance(configs, np.ndarray):
             xs = configs.astype(np.uint8, copy=True)
         else:
             xs = self.encode_batch(configs)
-        k = xs.shape[0]
         budget = max_rounds if max_rounds is not None else self.n + 8
-
-        rounds = np.zeros(k, dtype=np.int64)
-        moves_by_rule = {
-            name: np.zeros(k, dtype=np.int64) for name in ("R1", "R2")
-        }
-        # Row compaction (see the SMM batch kernel): quiescent rows are
-        # at their fixpoint, so each round steps only the rows that
-        # moved last round — byte-identical results at |live|·n cost.
-        # At most `budget` rounds are applied — same cap as the
-        # single-run kernel and the reference engine, so round counts
-        # agree even on timeouts.
-        live = np.arange(k)
-        for _ in range(budget):
-            sub = xs[live]
-            new_sub = self.step_batch(sub)
-            changed = new_sub != sub
-            moved_sub = changed.any(axis=1)
-            if not moved_sub.any():
-                live = live[:0]
-                break
-            moved_idx = live[moved_sub]
-            moves_by_rule["R1"][moved_idx] += (changed & (new_sub == 1))[moved_sub].sum(axis=1)
-            moves_by_rule["R2"][moved_idx] += (changed & (new_sub == 0))[moved_sub].sum(axis=1)
-            xs[moved_idx] = new_sub[moved_sub]
-            rounds[moved_idx] += 1
-            live = moved_idx
-        else:
-            if live.size:
-                new_sub = self.step_batch(xs[live])
-                live = live[(new_sub != xs[live]).any(axis=1)]
-        active = np.zeros(k, dtype=bool)
-        active[live] = True
-
+        stabilized, rounds, moves_by_rule = drive_batch(
+            self._decide, xs, budget, ("R1", "R2")
+        )
         result = BatchResult(
-            stabilized=~active,
+            stabilized=stabilized,
             rounds=rounds,
             final_x=xs,
             moves_by_rule=moves_by_rule,
         )
         if raise_on_timeout and not result.all_stabilized:
             raise StabilizationTimeout(
-                f"batch SIS: {int(active.sum())} runs exceeded {budget} rounds",
+                f"batch SIS: {int((~stabilized).sum())} runs exceeded "
+                f"{budget} rounds",
                 result,
             )
         return result

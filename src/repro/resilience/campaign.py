@@ -407,28 +407,23 @@ class _ReferenceAdapter:
         return self.current
 
     def run_segment(self, budget: int, recorder=None) -> Segment:
-        from repro.core.executor import run_synchronous
+        """Step the reference round driver under the synchronous daemon
+        (a fresh active set per segment), with ``recorder`` observing
+        every round."""
+        from repro.core.executor import _drive, _synchronous_pick
 
-        ex = run_synchronous(
+        ex = _drive(
             self.protocol,
             self.graph,
             self.current,
-            rng=self.gen,
-            max_rounds=budget,
+            _synchronous_pick(self.protocol, self.graph, self.active_set),
+            gen=self.gen,
+            budget=budget,
+            daemon="synchronous",
             record_history=self.record_history,
-            telemetry=recorder is not None,
-            active_set=self.active_set,
+            recorder=recorder,
         )
         self.current = ex.final
-        if recorder is not None:
-            tele = ex.telemetry
-            census = tele.node_type_census
-            for t in range(ex.rounds):
-                recorder.on_round(
-                    tele.per_round_moves[t],
-                    tele.active_set_sizes[t],
-                    None if census is None else census[t + 1],
-                )
         touched = set()
         for entry in ex.move_log:
             touched.update(entry)

@@ -14,7 +14,8 @@ progress counters, timestamps).  The :class:`JobManager` owns
 * the content-addressed :class:`~repro.serve.store.ResultStore` —
   every cacheable trial is leased there first, so repeated submissions
   hit the store and concurrent identical submissions coalesce onto one
-  computation;
+  computation (a follower whose leader fails re-leases and runs the
+  trial through its own runner, under the same policies);
 * a per-job on-disk journal (``<state>/jobs/<id>/``) holding the
   serialized specs (``job.json``, immutable), mutable status
   (``status.json``, atomically replaced), the runner's resume
@@ -79,7 +80,6 @@ from repro.parallel.trial_runner import (
     SweepCancelled,
     TrialRunner,
     TrialSpec,
-    execute_trial,
     spec_fingerprint,
 )
 from repro.serve.store import ResultStore
@@ -89,7 +89,7 @@ __all__ = ["Job", "JobManager", "JOB_STATES", "QueueFull", "Draining"]
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: How long a job waits for another job's in-flight computation of the
-#: same fingerprint before falling back to computing inline.
+#: same fingerprint before computing it itself.
 COALESCE_TIMEOUT = 600.0
 
 #: After this many seconds an open circuit half-opens: the next
@@ -947,7 +947,8 @@ class JobManager:
             self._journal(job)
 
             if compute:
-                self._run_compute(job, compute, entries, cacheable, leased, sink)
+                self._run_compute(job, compute, entries, leased, sink)
+            orphans: List[int] = []
             for i, event in followers:
                 self._check_cancelled(job)
                 result, timed_out = self.store.wait(
@@ -963,12 +964,26 @@ class JobManager:
                     )
                 if result is not None:
                     cache_entry(i, result)
+                    self._journal(job)
                 else:
                     # the leader abandoned (failed / cancelled) or the
-                    # wait timed out: compute for ourselves, re-leasing
-                    # so the store still fills
-                    self._compute_fallback(job, i, entries, cacheable[i], sink)
-                self._journal(job)
+                    # wait timed out: compute for ourselves, below
+                    orphans.append(i)
+            # re-lease so the store still fills (another orphan may have
+            # filled it meanwhile), then run the rest under the same
+            # runner policies as this job's own trials
+            recompute: List[int] = []
+            for i in orphans:
+                kind, value = self.store.lease(fingerprints[i])
+                if kind == "hit":
+                    cache_entry(i, value)
+                    continue
+                if kind == "lease":
+                    leased.append(fingerprints[i])
+                recompute.append(i)
+            if recompute:
+                self._run_compute(job, recompute, entries, leased, sink)
+            self._journal(job)
             for i, leader in dup_of.items():
                 entries[i] = entries[leader]
                 job.progress["completed"] += 1
@@ -1030,11 +1045,12 @@ class JobManager:
         job: Job,
         compute: List[int],
         entries: List[Optional[Dict[str, Any]]],
-        cacheable: List[bool],
         leased: List[str],
         sink: Optional[TelemetrySink],
     ) -> None:
-        """Drive one resilient runner over the to-compute subset."""
+        """Drive one resilient runner over the to-compute subset; a
+        result whose fingerprint this job holds in ``leased`` fills the
+        store, a failure abandons the lease."""
         fingerprints = job.fingerprints
 
         def on_result(local: int, outcome, resumed: bool) -> None:
@@ -1051,18 +1067,16 @@ class JobManager:
                 }
                 job.progress["completed"] += 1
                 job.progress["failed"] += 1
-                if cacheable[index]:
+                if fp in leased:
                     self.store.abandon(fp)
-                    if fp in leased:
-                        leased.remove(fp)
+                    leased.remove(fp)
                 self._circuit_record(fp, ok=False)
                 self._metric(lambda reg: record_failed_trial(reg, outcome))
             else:
                 result = execution_to_dict(outcome)
-                if cacheable[index]:
+                if fp in leased:
                     self.store.fulfill(fp, result)
-                    if fp in leased:
-                        leased.remove(fp)
+                    leased.remove(fp)
                     self._metric(
                         lambda reg: reg.counter(
                             "repro_result_cache_misses_total",
@@ -1097,52 +1111,3 @@ class JobManager:
             deadline=job.deadline,
         )
         runner.map([job.specs[i] for i in compute])
-
-    def _compute_fallback(
-        self,
-        job: Job,
-        index: int,
-        entries: List[Optional[Dict[str, Any]]],
-        cacheable: bool,
-        sink: Optional[TelemetrySink],
-    ) -> None:
-        """A follower whose leader abandoned: compute inline (once)."""
-        fp = job.fingerprints[index]
-        lease_kind = None
-        if cacheable:
-            lease_kind, value = self.store.lease(fp)
-            if lease_kind == "hit":
-                # raced with a concurrent fallback that already stored it
-                entries[index] = {"status": "ok", "cached": True, "result": value}
-                job.progress["completed"] += 1
-                job.progress["cached"] += 1
-                job.note_convergence(value)
-                return
-        try:
-            outcome = execute_trial(job.specs[index])
-        except Exception as exc:
-            if lease_kind == "lease":
-                self.store.abandon(fp)
-            entries[index] = {
-                "status": "failed",
-                "cached": False,
-                "error_type": type(exc).__name__,
-                "error": str(exc),
-                "attempts": 1,
-                "timed_out": False,
-            }
-            job.progress["completed"] += 1
-            job.progress["failed"] += 1
-            self._circuit_record(fp, ok=False)
-            return
-        result = execution_to_dict(outcome)
-        if lease_kind == "lease":
-            self.store.fulfill(fp, result)
-        self._circuit_record(fp, ok=True)
-        entries[index] = {"status": "ok", "cached": False, "result": result}
-        job.progress["completed"] += 1
-        job.progress["computed"] += 1
-        job.note_convergence(result)
-        self._metric(lambda reg: record_run_result(reg, outcome))
-        if sink is not None and result.get("telemetry") is not None:
-            sink.write(result["telemetry"])

@@ -408,6 +408,56 @@ class TestJobManager:
         finally:
             del PROTOCOLS["slow-serve-test"]
 
+    _FOLLOWER_CRASH = """
+import os, sys, time
+from repro.graphs.generators import cycle_graph
+from repro.matching.smm import SynchronousMaximalMatching
+from repro.parallel import TrialSpec
+from repro.parallel.trial_runner import register_protocol
+from repro.serve import JobManager
+
+class Dying(SynchronousMaximalMatching):
+    def enabled_rule(self, view):
+        time.sleep(0.3)
+        os._exit(3)
+
+register_protocol("dying", Dying)
+manager = JobManager(sys.argv[1], workers=2, retries=0)
+manager.start()
+try:
+    spec = TrialSpec("dying", cycle_graph(6), seed=1)
+    jobs = [manager.submit([spec]), manager.submit([spec])]
+    for job in jobs:
+        assert manager.wait(job, timeout=60)
+    for job in jobs:
+        (entry,) = manager.results(job)
+        print("JOB", job.state, entry["status"], entry["error_type"],
+              job.progress["coalesced"], flush=True)
+finally:
+    manager.shutdown()
+"""
+
+    def test_coalesced_follower_of_a_crashed_leader_stays_off_daemon(
+        self, tmp_path
+    ):
+        """Two jobs share one seeded spec whose trial kills its process.
+        The follower, woken by the leader's failure, must run the trial
+        on a worker process too: run in the daemon's own thread, it
+        took the daemon down with exit status 3."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self._FOLLOWER_CRASH, str(tmp_path / "state")],
+            capture_output=True,
+            env=_serve_env(),
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        jobs = [line[1:] for line in lines if line[:1] == ["JOB"]]
+        assert [job[:3] for job in jobs] == [["done", "failed", "WorkerDeath"]] * 2
+        assert sum(int(job[3]) for job in jobs) == 1  # one follower coalesced
+
     def test_cancel_queued_job(self, tmp_path):
         manager = _manager(tmp_path, workers=1)
         # no start(): nothing drains the queue, the job stays queued
