@@ -36,6 +36,9 @@ E1_SCALE = dict(
     sizes=(8, 16, 32, 64),
     trials=10,
     seed=101,
+    # per-trial execution: at the default ("auto") same-graph trials
+    # batch in the parent, and jobs=4 would have nothing to fan out
+    backend="reference",
 )
 
 SMM = SynchronousMaximalMatching()

@@ -260,7 +260,7 @@ def trial_spec_from_dict(data: Mapping[str, Any]):
             (str(name), _option_value_from_json(value))
             for name, value in data.get("options", ())
         ),
-        backend=str(data.get("backend", "reference")),
+        backend=str(data.get("backend", "auto")),
         telemetry=bool(data.get("telemetry", False)),
         convergence=bool(data.get("convergence", False)),
     )

@@ -45,7 +45,7 @@ Runner = Callable[[], List[ExperimentResult]]
 
 def _registry(
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
     fault_plan: str | None = None,
     trial_timeout: float | None = None,
@@ -295,7 +295,7 @@ def cmd_run(
     ids: List[str],
     quick: bool,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
     fault_plan: str | None = None,
     trial_timeout: float | None = None,
@@ -613,10 +613,11 @@ def main(argv: List[str] | None = None) -> int:
     runner.add_argument(
         "--backend",
         choices=("auto", "reference", "vectorized"),
-        default="reference",
-        help="execution engine backend (repro.engine); 'auto' picks the "
-        "fastest applicable kernel per run, every backend produces "
-        "identical tables",
+        default="auto",
+        help="execution engine backend (repro.engine); 'auto' (the "
+        "default) batches same-graph sweeps and picks the fastest "
+        "applicable kernel per run, 'reference' forces the reference "
+        "engine; every backend produces identical tables",
     )
     runner.add_argument(
         "--telemetry",

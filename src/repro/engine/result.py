@@ -9,9 +9,11 @@ populated only when the backend can produce them (``None`` otherwise —
 the backend's registered capabilities say which, see
 :mod:`repro.engine.registry`).
 
-``legitimate`` is always ``protocol.is_legitimate(graph, final)``
-evaluated once by the backend adapter, so legitimacy means the same
-thing for every backend.
+``legitimate`` means ``protocol.is_legitimate(graph, final)`` for
+every backend.  The reference engine evaluates that predicate; the SMM
+and SIS kernels read it off their final arrays as "no rule enabled",
+which equals it by Lemma 8 (SIS's predicate is its rules' fixpoint) and
+is pinned by ``tests/test_kernel_legitimacy.py``.
 
 :class:`repro.core.executor.Execution` is a thin deprecated subclass
 kept for backward compatibility; new code should type against

@@ -93,7 +93,7 @@ _OPTION_CAPABILITIES = {"record_history": "history", "fault_plan": "faults"}
 def fallback_backend(
     protocol: str,
     daemon: str = "synchronous",
-    backend: str = "reference",
+    backend: str = "auto",
     *,
     record_history: bool = False,
     monitors: object = (),

@@ -48,7 +48,7 @@ def run(
     relabelings: int = 20,
     seed: int = 130,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
 ) -> ExperimentResult:
     """Sample id relabelings of each workload topology; see module doc.
 

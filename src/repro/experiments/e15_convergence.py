@@ -48,7 +48,7 @@ def run(
     trials: int = 10,
     seed: int = 150,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
 ) -> ExperimentResult:
     """Sweep the convergence observatory; see module docstring.

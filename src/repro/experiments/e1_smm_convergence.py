@@ -39,7 +39,7 @@ def run(
     exhaustive_max_n: int = 5,
     verify: bool = True,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
     convergence: bool = False,
 ) -> ExperimentResult:

@@ -46,7 +46,7 @@ def run(
     exhaustive_max_n: int = 8,
     verify: bool = True,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
     convergence: bool = False,
 ) -> ExperimentResult:

@@ -44,7 +44,7 @@ def run(
     trials: int = 10,
     seed: int = 50,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
 ) -> ExperimentResult:
     """Head-to-head SMM vs synchronized Hsu–Huang; see module doc.

@@ -49,7 +49,7 @@ def run(
     trials: int = 20,
     seed: int = 60,
     jobs: int = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     telemetry: str | None = None,
 ) -> ExperimentResult:
     """Check Lemmas 1/9/10 over the sweep; see module docstring.

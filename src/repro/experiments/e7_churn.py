@@ -64,7 +64,7 @@ def run(
     trials: int = 10,
     seed: int = 70,
     jobs: Optional[int] = 1,
-    backend: str = "reference",
+    backend: str = "auto",
     trial_timeout: Optional[float] = None,
     retries: int = 0,
     resume: Optional[str] = None,

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError, NotConnectedError
 from repro.graphs.graph import Graph
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
+
+if TYPE_CHECKING:  # networkx loads only when a conversion asks for it
+    import networkx as nx
 
 
 def cycle_graph(n: int) -> Graph:
@@ -224,7 +226,7 @@ def unit_disk_graph(positions: np.ndarray, radius: float) -> Graph:
     return Graph(range(n), edges)
 
 
-def from_networkx(g: nx.Graph) -> Graph:
+def from_networkx(g: "nx.Graph") -> Graph:
     """Convert a networkx graph with integer node labels."""
     for node in g.nodes:
         if not isinstance(node, int):

@@ -15,12 +15,13 @@ each node is assigned a unique ID").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.types import Edge, NodeId, canonical_edge
+
+if TYPE_CHECKING:  # networkx loads only when a conversion asks for it
+    import networkx as nx
 
 
 class Graph:
@@ -459,8 +460,10 @@ class Graph:
     # ------------------------------------------------------------------
     # interop
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self) -> "nx.Graph":
         """Convert to a :class:`networkx.Graph` (copies the structure)."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self._nodes)
         g.add_edges_from(self.edges)

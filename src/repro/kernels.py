@@ -322,15 +322,18 @@ def run_engine(
     ``active_set`` are accepted for the uniform runner signature:
     selection never asks a kernel for history, and frontier stepping is
     identical to a full scan.  Kernels that supply per-round decisions
-    step through :func:`drive`; the randomized Luby kernel keeps its
-    own loop (it draws once per round and checks quiescence before
-    drawing) and consumes ``rng`` draw for draw like the reference
-    engine.  With ``telemetry=True`` an :func:`observer` records the
-    per-round rule counters, frontier sizes and (SMM) census into
-    ``result.telemetry``.  With a ``fault_plan`` the run is a segmented
-    fault campaign on the dense arrays
-    (:class:`repro.resilience.vector.VectorAdapter`), byte-identical in
-    its counters with the reference campaign.
+    step through :func:`drive`, and their ``legitimate`` is one
+    ``decide_all`` pass on the final state (no rule enabled — equal to
+    ``protocol.is_legitimate`` by Lemma 8, pinned by
+    ``tests/test_kernel_legitimacy.py``); the randomized Luby kernel
+    keeps its own loop (it draws once per round and checks quiescence
+    before drawing), consumes ``rng`` draw for draw like the reference
+    engine, and keeps the protocol predicate.  With ``telemetry=True``
+    an :func:`observer` records the per-round rule counters, frontier
+    sizes and (SMM) census into ``result.telemetry``.  With a
+    ``fault_plan`` the run is a segmented fault campaign on the dense
+    arrays (:class:`repro.resilience.vector.VectorAdapter`),
+    byte-identical in its counters with the reference campaign.
     """
     from repro.core.executor import _default_round_budget, _resolve_config
     from repro.engine.result import RunResult
@@ -379,7 +382,11 @@ def run_engine(
         if recorder is not None:
             recorder.begin_finalize()
         final = kernel.decode(state)
-        legitimate = protocol.is_legitimate(graph, final)
+        if hasattr(kernel, "decide_all"):
+            # SMM and SIS: legitimate iff no rule is enabled (Lemma 8)
+            legitimate = len(kernel.decide_all(state)[0]) == 0
+        else:
+            legitimate = protocol.is_legitimate(graph, final)
         tele = None if recorder is None else recorder.finish()
     result = RunResult(
         protocol_name=protocol.name,

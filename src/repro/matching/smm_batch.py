@@ -89,6 +89,14 @@ class BatchSMM:
         new_ptrs, (r1, r2, r3) = self._step_rules(ptrs)
         return new_ptrs, (r1 | r2 | r3).any(axis=1)
 
+    def legitimate(self, ptrs: np.ndarray) -> np.ndarray:
+        """Per-row legitimacy of a (k, n) pointer matrix, as a (k,) bool
+        array.  By Lemma 8 a configuration is legitimate (reciprocated
+        pointers form a maximal matching, every unmatched node is null)
+        exactly when none of R1/R2/R3 is enabled, so one decision pass
+        decides every row."""
+        return ~self.step_batch(ptrs)[1]
+
     def _step_rules(self, ptrs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """One round, returning the per-rule firing masks as well —
         ``(new_ptrs, (r1, r2, r3))``, each mask (k, n) bool."""

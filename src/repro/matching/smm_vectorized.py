@@ -46,7 +46,7 @@ from repro.kernels import (
     segment_min,
     state_dtype,
 )
-from repro.types import NodeId, Pointer
+from repro.types import NodeId
 
 
 @dataclass
@@ -92,6 +92,9 @@ class VectorizedSMM:
         # ~3x for the handful of reads per tiny round)
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
+        # plain-list node ids for decode, built lazily (stream and
+        # campaign kernels may never decode)
+        self._id_list: Optional[List[NodeId]] = None
 
     # ------------------------------------------------------------------
     # encoding helpers
@@ -112,11 +115,12 @@ class VectorizedSMM:
 
     def decode(self, ptr: np.ndarray) -> Configuration:
         """``{node: Pointer}`` configuration from a dense pointer array."""
-        states: Dict[NodeId, Pointer] = {}
-        for k in range(self.n):
-            target = int(ptr[k])
-            states[int(self._ids[k])] = None if target < 0 else int(self._ids[target])
-        return Configuration(states)
+        if self._id_list is None:
+            self._id_list = self._ids.tolist()
+        ids = self._id_list
+        return Configuration(
+            {i: None if t < 0 else ids[t] for i, t in zip(ids, ptr.tolist())}
+        )
 
     def _scalar_csr(self) -> tuple[List[int], List[int]]:
         if self._indices_list is None:

@@ -72,6 +72,12 @@ class BatchSIS:
         blocked[:, self._seg_empty] = False
         return (~blocked).astype(np.uint8)
 
+    def legitimate(self, xs: np.ndarray) -> np.ndarray:
+        """Per-row legitimacy of a (k, n) state matrix, as a (k,) bool
+        array: SIS's legitimate configurations are exactly the fixpoints
+        of its round, ``step_batch(x) == x``."""
+        return (self.step_batch(xs) == xs).all(axis=1)
+
     def _decide(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """One round with its firing masks: R1 joins, R2 leaves."""
         new = self.step_batch(xs)

@@ -88,6 +88,8 @@ class VectorizedSIS:
         # plain-list CSR mirror for the scalar frontier path, lazy
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
+        # plain-list node ids for decode, lazy like the CSR mirror
+        self._id_list: Optional[List[NodeId]] = None
 
     def encode(self, config) -> np.ndarray:
         x = np.zeros(self.n, dtype=np.uint8)
@@ -96,9 +98,9 @@ class VectorizedSIS:
         return x
 
     def decode(self, x: np.ndarray) -> Configuration:
-        return Configuration(
-            {int(self._ids[k]): int(x[k]) for k in range(self.n)}
-        )
+        if self._id_list is None:
+            self._id_list = self._ids.tolist()
+        return Configuration(dict(zip(self._id_list, x.tolist())))
 
     # ------------------------------------------------------------------
     # packed-bit representation

@@ -163,7 +163,9 @@ def _run_group(
 
     ``budget`` is the already-resolved round budget (the group key), so
     every member runs under the identical limit it would have resolved
-    per-trial.
+    per-trial.  Every row's ``legitimate`` comes from one decision pass
+    over the final matrix (the kernel's ``legitimate``), which equals
+    the protocol predicate on the decoded row.
     """
     from repro.core.executor import _resolve_config
 
@@ -180,6 +182,7 @@ def _run_group(
     # so the parent-side latency histogram still sees every trial
     per_row = (time.perf_counter() - start) / len(members)
     final = getattr(res, final_attr)
+    legitimate = kernel.legitimate(final)
     out: Dict[int, RunResult] = {}
     for row, (index, _spec) in enumerate(members):
         final_config = kernel.single.decode(final[row])
@@ -195,7 +198,7 @@ def _run_group(
             moves_by_rule=moves_by_rule,
             initial=initials[row],
             final=final_config,
-            legitimate=protocol.is_legitimate(graph, final_config),
+            legitimate=bool(legitimate[row]),
             backend="batch",
             elapsed=per_row,
         )

@@ -249,9 +249,11 @@ class TrialSpec:
         Extra keyword arguments for the runner, as a sorted tuple of
         ``(name, value)`` pairs (kept hashable/picklable).
     backend:
-        Execution backend (:mod:`repro.engine`): ``"reference"`` (the
-        default), ``"auto"``, or an explicit registered kernel such as
-        ``"vectorized"``.
+        Execution backend (:mod:`repro.engine`): ``"auto"`` (the
+        default: same-graph groups run through batch-sweep dispatch,
+        the rest on the fastest applicable backend), ``"reference"``
+        (force the reference engine), or an explicit registered kernel
+        such as ``"vectorized"``.  Part of :func:`spec_fingerprint`.
     telemetry:
         Attach a :class:`~repro.observability.RunTelemetry` record to
         the trial's result.  Telemetry rides back through the ordinary
@@ -294,7 +296,7 @@ class TrialSpec:
     record_history: bool = False
     seed: Optional[int] = None
     options: Tuple[Tuple[str, object], ...] = ()
-    backend: str = "reference"
+    backend: str = "auto"
     telemetry: bool = False
     trace: bool = False
     convergence: bool = False

@@ -1,5 +1,9 @@
 """Tests for the immutable Graph class."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -161,6 +165,28 @@ class TestInterop:
         assert isinstance(nxg, nx.Graph)
         assert set(nxg.nodes) == {0, 1, 2}
         assert nxg.number_of_edges() == 3
+
+    def test_networkx_loads_only_when_asked_for(self):
+        """The package, the trial runner and the CLI import without
+        networkx; the conversions load it on first use."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [os.path.join(root, "src"), env.get("PYTHONPATH", "")] if p
+        )
+        script = (
+            "import sys, repro, repro.parallel, repro.cli\n"
+            "print('networkx' in sys.modules)\n"
+            "from repro.graphs.generators import cycle_graph, from_networkx\n"
+            "assert from_networkx(cycle_graph(4).to_networkx()) == cycle_graph(4)\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, env=env, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_from_edges_with_n(self):
         g = Graph.from_edges([(0, 1), (1, 2)], n=4)

@@ -156,6 +156,37 @@ class TestTrialRunner:
         for x, y in zip(a, b):
             assert executions_equal(x, y)
 
+    def test_default_sweep_batches_like_reference(self):
+        """At the default backend a same-graph sweep runs through batch
+        dispatch and equals the reference engine on every field but the
+        backend label, the wall-clock and the move log (a trace field
+        only the reference engine fills) — budget-cut, illegitimate
+        rows included."""
+        from repro.core.faults import random_configuration
+        from repro.engine import make_protocol
+
+        graph = erdos_renyi_graph(24, 0.2, rng=5)
+        skip = {"backend", "elapsed", "move_log"}
+        for key in ("smm", "sis"):
+            protocol = make_protocol(key)
+            configs = [None] + [
+                random_configuration(protocol, graph, s) for s in range(5)
+            ]
+            for budget in (None, 1):
+                specs = [TrialSpec(key, graph, c, max_rounds=budget) for c in configs]
+                default = run_trials(specs)
+                reference = run_trials(
+                    [dataclasses.replace(s, backend="reference") for s in specs]
+                )
+                assert [r.backend for r in default] == ["batch"] * len(configs)
+                assert all(r.move_log is None for r in default)
+                for a, b in zip(default, reference):
+                    for field in dataclasses.fields(a):
+                        if field.name not in skip:
+                            assert getattr(a, field.name) == getattr(b, field.name)
+                if budget == 1:
+                    assert not any(r.legitimate for r in default)
+
     def test_worker_failure_propagates(self):
         # a bad spec raises the original error, pool or no pool
         specs = [TrialSpec("smm", cycle_graph(4)), TrialSpec("nope", cycle_graph(4))]
@@ -292,7 +323,9 @@ class TestFingerprintFormat:
     """
 
     def test_pinned_fingerprints(self):
-        spec = TrialSpec(protocol="smm", graph=cycle_graph(6), seed=7)
+        spec = TrialSpec(
+            protocol="smm", graph=cycle_graph(6), seed=7, backend="reference"
+        )
         assert spec_fingerprint(spec) == "fee222a31e568303"
         rich = TrialSpec(
             protocol="smm",
@@ -300,8 +333,12 @@ class TestFingerprintFormat:
             daemon="central",
             seed=7,
             options=(("step_limit", 500),),
+            backend="reference",
         )
         assert spec_fingerprint(rich) == "8ce0656b43130cc1"
+        # the default backend ("auto") is part of the fingerprint
+        default = TrialSpec(protocol="smm", graph=cycle_graph(6), seed=7)
+        assert spec_fingerprint(default) == "4ff3de5376ed5bc5"
 
     def test_schema_version_is_folded_in(self, monkeypatch):
         from repro.analysis import serialize
@@ -326,7 +363,9 @@ class TestFingerprintFormat:
         ``--convergence`` must keep serving cached results and resuming
         old checkpoints.  The pinned literals double as the regression:
         they were computed before the flags existed."""
-        spec = TrialSpec(protocol="smm", graph=cycle_graph(6), seed=7)
+        spec = TrialSpec(
+            protocol="smm", graph=cycle_graph(6), seed=7, backend="reference"
+        )
         fp = spec_fingerprint(spec)
         assert fp == "fee222a31e568303"
         assert spec_fingerprint(
@@ -342,6 +381,7 @@ class TestFingerprintFormat:
             daemon="central",
             seed=7,
             options=(("step_limit", 500),),
+            backend="reference",
         )
         assert spec_fingerprint(
             dataclasses.replace(rich, convergence=True)
@@ -547,7 +587,10 @@ class Hanging(SynchronousMaximalMatching):
         time.sleep(60)
 
 register_protocol("hanging", Hanging)
-specs = [TrialSpec("smm", cycle_graph(8), seed=s) for s in range(6)]
+specs = [
+    TrialSpec("smm", cycle_graph(8), seed=s, backend="reference")
+    for s in range(6)
+]
 hung = list(specs)
 hung[2] = TrialSpec("hanging", cycle_graph(8))
 sweeps = {
@@ -720,7 +763,10 @@ import os, signal, sys
 from repro.graphs.generators import cycle_graph
 from repro.parallel import TrialRunner, TrialSpec
 
-specs = [TrialSpec("smm", cycle_graph(8), seed=s) for s in range(6)]
+specs = [
+    TrialSpec("smm", cycle_graph(8), seed=s, backend="reference")
+    for s in range(6)
+]
 TrialRunner(jobs=1, checkpoint=sys.argv[1]).map(specs[:3])
 os.register_at_fork(before=lambda: os.kill(os.getpid(), signal.SIGTERM))
 TrialRunner(jobs=1, checkpoint=sys.argv[1]).map(specs)

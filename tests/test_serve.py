@@ -297,7 +297,8 @@ class TestResultStore:
 def _specs(count=3, n=8, seed=100, protocol="smm"):
     graph = cycle_graph(n)
     return [
-        TrialSpec(protocol, graph, seed=seed + i) for i in range(count)
+        TrialSpec(protocol, graph, seed=seed + i, backend="reference")
+        for i in range(count)
     ]
 
 
