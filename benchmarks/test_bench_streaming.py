@@ -14,6 +14,10 @@ Measures and records, in ``benchmarks/results/BENCH_streaming.json``:
   p50/p99 re-stabilization latency (rounds), recovered fraction and
   sustained events/sec of the vectorized dirty-frontier backend — the
   table E14 reports at paper scale.
+* **events per call** — one event sequence on the same n=4k graph fed
+  to a :class:`StreamEngine` in 64-event ``run()`` calls and in
+  one-event calls.  Every call ends in ``report()``, so the one-event
+  rate is what an event costs when nothing amortizes the report.
 * **backend identity** — a small all-kinds stream runs on both backends
   and asserts :meth:`StreamReport.counters` equality, so the benchmark
   doubles as an equivalence pin even in quick mode.
@@ -25,6 +29,7 @@ CI smoke sets ``BENCH_STREAMING_QUICK=1`` (small n, loose floors).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -34,8 +39,9 @@ import numpy as np
 
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
 from repro.graphs.graph import Graph
+from repro.resilience import FaultPlan
 from repro.rng import ensure_rng
-from repro.streaming import poisson_plan, run_stream
+from repro.streaming import StreamEngine, poisson_plan, run_stream
 
 QUICK = bool(os.environ.get("BENCH_STREAMING_QUICK"))
 
@@ -46,6 +52,7 @@ SCALE = dict(
     slo_n=512 if QUICK else 4096,
     slo_events=30 if QUICK else 200,
     slo_rates=(0.1, 1.0) if QUICK else (0.05, 0.25, 1.0),
+    call_events=64 if QUICK else 192,
 )
 
 
@@ -139,6 +146,52 @@ def _bench_slo_vs_rate(report):
     }
 
 
+def _bench_events_per_call(report):
+    n, events = SCALE["slo_n"], SCALE["call_events"]
+    graph = erdos_renyi_graph(n, 6 / n, ensure_rng(9))
+    plan = poisson_plan(graph, rate=0.25, events=events, seed=31)
+    rows = []
+    for proto in ("smm", "sis"):
+        finals = []
+        for per_call in (64, 1):
+            engine = StreamEngine(proto, graph)
+            engine.run(FaultPlan())  # the initial settle, untimed
+            t0 = time.perf_counter()
+            for start in range(0, events, per_call):
+                chunk = plan.events[start:start + per_call]
+                base = chunk[0].round  # each call's rounds are relative
+                engine.run(
+                    FaultPlan(
+                        events=tuple(
+                            dataclasses.replace(e, round=e.round - base)
+                            for e in chunk
+                        ),
+                        seed=start,
+                    )
+                )
+            elapsed = time.perf_counter() - t0
+            assert engine.events_seen == events
+            finals.append(engine.graph.edges)
+            rows.append(
+                {
+                    "protocol": proto,
+                    "events_per_call": per_call,
+                    "events": events,
+                    "events_per_sec": round(events / elapsed, 1),
+                }
+            )
+        assert finals[0] == finals[1]  # both fed the same churn sequence
+    report["events_per_call"] = {
+        "workload": (
+            f"one {events}-event Poisson churn+perturb sequence (rate "
+            f"0.25) on ER({n}, avg deg 6), fed to a settled vectorized "
+            "StreamEngine in 64-event run() calls and in one-event "
+            "calls; each call ends in report()"
+        ),
+        "rows": rows,
+    }
+
+
 def _bench_backend_identity(report):
     graph = cycle_graph(24)
     plan = poisson_plan(
@@ -167,6 +220,7 @@ def test_bench_streaming(results_dir):
     }
     _bench_incremental_csr(report)
     _bench_slo_vs_rate(report)
+    _bench_events_per_call(report)
     _bench_backend_identity(report)
 
     path = results_dir / "BENCH_streaming.json"

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from repro.graphs.graph import Graph
+from repro.kernels import csr_entry_positions
 from repro.types import NodeId
 
 
@@ -54,6 +57,13 @@ def containment_radius(
     treats unreachable moved nodes as infinitely far (returned as
     ``graph.n`` — larger than any finite distance, flagging a
     containment breach across components, which would indicate a bug).
+
+    The answer is the maximum of :func:`distances_from_set` over the
+    moved nodes, but the search is cheaper: a multi-source BFS over the
+    graph's cached CSR (:meth:`~repro.graphs.graph.Graph.adjacency_arrays`),
+    one array step per level, that stops at the level reaching the last
+    moved node.  A stream event's recovery is local, so this costs the
+    radius's ball, not the whole graph.
     """
     sites = list(fault_sites)
     if not sites:
@@ -61,13 +71,29 @@ def containment_radius(
     moved = list(moved_nodes)
     if not moved:
         return None
-    dist = distances_from_set(graph, sites)
-    worst = 0
-    for node in moved:
-        if node not in dist:
-            return graph.n
-        worst = max(worst, dist[node])
-    return worst
+    indptr, indices, _ = graph.adjacency_arrays()
+    index = graph.dense_index()
+    frontier = []
+    for s in sites:
+        if s not in index:
+            raise KeyError(f"unknown source node {s!r}")
+        frontier.append(index[s])
+    n = graph.n
+    targets = np.fromiter((index.get(v, -1) for v in moved), np.int64, len(moved))
+    if targets.min() < 0:
+        return n  # an unknown moved node is unreachable too
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    level = 0
+    while not seen[targets].all():
+        positions, _ = csr_entry_positions(indptr, np.unique(frontier))
+        reached = indices[positions]
+        frontier = reached[~seen[reached]]
+        if frontier.size == 0:
+            return n  # a moved node is unreachable from the sites
+        level += 1
+        seen[frontier] = True
+    return level
 
 
 def affected_by_distance(

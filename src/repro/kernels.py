@@ -131,6 +131,31 @@ def unpack_bits(bits: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(bits, count=n, bitorder="little")
 
 
+class NeighbourRows(dict):
+    """Plain-list neighbour rows of a CSR adjacency, each listed on its
+    first read: ``rows[i]`` is ``indices[indptr[i]:indptr[i + 1]]`` as
+    Python ints.
+
+    The scalar decisions and :func:`drive`'s scalar dirty propagation
+    iterate these (unboxed list reads beat ndarray access ~3x for the
+    handful of reads of a tiny round).  A stream builds a kernel per
+    graph version and reads only the rows near each event, so listing
+    rows on demand costs what those reads cost, where a whole-CSR list
+    mirror costs O(m) Python ints to build and to free per kernel.
+    """
+
+    __slots__ = ("_indptr", "_indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        super().__init__()
+        self._indptr = indptr
+        self._indices = indices
+
+    def __missing__(self, i: int) -> list:
+        row = self[i] = self._indices[self._indptr[i]:self._indptr[i + 1]].tolist()
+        return row
+
+
 # ----------------------------------------------------------------------
 # the round driver
 # ----------------------------------------------------------------------
@@ -223,10 +248,10 @@ def drive(
         if len(movers) >= dense:
             dirty = np.arange(n, dtype=np.int64)
         elif isinstance(movers, list):
-            indptr, indices = kernel._scalar_csr()
+            adj = kernel._adj
             nxt = set(movers)
             for i in movers:
-                nxt.update(indices[indptr[i]:indptr[i + 1]])
+                nxt.update(adj[i])
             dirty = sorted(nxt)
         else:
             dirty = closed_neighborhood(kernel._indptr, kernel._indices, movers)

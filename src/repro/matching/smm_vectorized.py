@@ -40,6 +40,7 @@ from repro.errors import InvalidConfigurationError, StabilizationTimeout
 from repro.graphs.graph import Graph
 from repro.kernels import (
     SMM_NULL,
+    NeighbourRows,
     csr_entry_positions,
     drive,
     segment_any,
@@ -87,11 +88,9 @@ class VectorizedSMM:
             np.arange(self.n, dtype=self._dtype), np.diff(indptr)
         )
         self._arange = np.arange(self.n, dtype=self._dtype)
-        # plain-list CSR mirror for the scalar frontier path, built
-        # lazily on first use (unboxed int lookups beat ndarray access
-        # ~3x for the handful of reads per tiny round)
-        self._indptr_list: Optional[List[int]] = None
-        self._indices_list: Optional[List[int]] = None
+        # plain-list neighbour rows for the scalar frontier path,
+        # each listed on first read
+        self._adj = NeighbourRows(indptr, self._indices)
         # plain-list node ids for decode, built lazily (stream and
         # campaign kernels may never decode)
         self._id_list: Optional[List[NodeId]] = None
@@ -121,12 +120,6 @@ class VectorizedSMM:
         return Configuration(
             {i: None if t < 0 else ids[t] for i, t in zip(ids, ptr.tolist())}
         )
-
-    def _scalar_csr(self) -> tuple[List[int], List[int]]:
-        if self._indices_list is None:
-            self._indptr_list = self._indptr.tolist()
-            self._indices_list = self._indices.tolist()
-        return self._indptr_list, self._indices_list
 
     # ------------------------------------------------------------------
     # the round kernel
@@ -245,7 +238,7 @@ class VectorizedSMM:
         CSR rows ascend, so the first proposer / null neighbour found
         scanning a row is the minimum-id one.
         """
-        indptr, indices = self._scalar_csr()
+        adj = self._adj
         movers: List[int] = []
         vals: List[int] = []
         c1 = c2 = c3 = 0
@@ -254,8 +247,7 @@ class VectorizedSMM:
             if p < 0:
                 proposer = -1
                 null_nbr = -1
-                for e in range(indptr[i], indptr[i + 1]):
-                    j = indices[e]
+                for j in adj[i]:
                     q = int(ptr[j])
                     if q == i:
                         proposer = j

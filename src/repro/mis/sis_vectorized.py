@@ -43,6 +43,7 @@ from repro.core.configuration import Configuration
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
 from repro.kernels import (
+    NeighbourRows,
     csr_entry_positions,
     drive,
     pack_bits,
@@ -85,10 +86,10 @@ class VectorizedSIS:
         # entry mask: neighbour id greater than owner id (precomputable —
         # it depends only on the topology, not the configuration)
         self._bigger_entry = ids[indices] > ids[self._row]
-        # plain-list CSR mirror for the scalar frontier path, lazy
-        self._indptr_list: Optional[List[int]] = None
-        self._indices_list: Optional[List[int]] = None
-        # plain-list node ids for decode, lazy like the CSR mirror
+        # plain-list neighbour rows for the scalar frontier path,
+        # each listed on first read
+        self._adj = NeighbourRows(indptr, indices)
+        # plain-list node ids for decode, built lazily
         self._id_list: Optional[List[NodeId]] = None
 
     def encode(self, config) -> np.ndarray:
@@ -121,12 +122,6 @@ class VectorizedSIS:
         flat kernel by the equivalence suite.
         """
         return pack_bits(self.step(unpack_bits(bits, self.n)))
-
-    def _scalar_csr(self) -> tuple[List[int], List[int]]:
-        if self._indices_list is None:
-            self._indptr_list = self._indptr.tolist()
-            self._indices_list = self._indices.tolist()
-        return self._indptr_list, self._indices_list
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One synchronous round: ``x' = ¬(∃ bigger in-set neighbour)``."""
@@ -198,14 +193,13 @@ class VectorizedSIS:
         neighbours are the CSR entries ``> i`` — scanned back to front
         so the first hit decides.
         """
-        indptr, indices = self._scalar_csr()
+        adj = self._adj
         movers: List[int] = []
         vals: List[int] = []
         c1 = c2 = 0
         for i in rows:
             blocked = False
-            for e in range(indptr[i + 1] - 1, indptr[i] - 1, -1):
-                j = indices[e]
+            for j in reversed(adj[i]):
                 if j <= i:
                     break
                 if x[j] == 1:

@@ -68,6 +68,7 @@ __all__ = [
     "convergence_report",
     "domination_violations",
     "independence_violations",
+    "matching_check_counts",
     "matching_violations",
     "pointer_violations",
     "potential_series",
@@ -205,6 +206,19 @@ def _matching_checks_fast(graph, config):
                     ptr[k] = -2 if dense is None else dense
     except (KeyError, TypeError, ValueError):  # exotic states
         return None
+    return matching_check_counts(indptr, indices, ptr)
+
+
+def matching_check_counts(indptr, indices, ptr) -> tuple[int, int]:
+    """``(pointer_violations, matching_violations)`` of a dense pointer
+    array over a CSR adjacency: ``ptr[k]`` is the dense index node
+    ``k`` points at, ``-1`` for null and ``-2`` for a target outside
+    the graph.  The array core of :func:`_matching_checks_fast`; the
+    streaming engine applies it to the SMM kernel's live state
+    directly."""
+    import numpy as np
+
+    n = indptr.size - 1
     pointing = ptr >= 0
     # per directed CSR edge (i -> j): does i's pointer land on j?
     row = np.repeat(np.arange(n), np.diff(indptr))

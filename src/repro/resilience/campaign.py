@@ -12,7 +12,8 @@ recovery metrics.  The adapter interface is tiny:
   one is given, and report the segment's totals and touched nodes;
 * ``apply(event, gen)`` — apply one fault event to the live state,
   returning the fault sites;
-* ``graph`` / ``config()`` — the current topology and configuration.
+* ``graph`` / ``config()`` — the current topology and configuration;
+* ``legitimate()`` — whether the live configuration is legitimate.
 
 Round semantics: an event with ``round = r`` fires after global round
 ``r``.  If the system stabilizes earlier, the quiescent rounds up to
@@ -373,7 +374,7 @@ def drive_campaign(
         "final": final,
         "move_log": move_log,
         "history": history,
-        "legitimate": protocol.is_legitimate(adapter.graph, final),
+        "legitimate": adapter.legitimate(),
         "final_graph": adapter.graph,
     }
     return summary, telemetry
@@ -405,6 +406,9 @@ class _ReferenceAdapter:
 
     def config(self) -> Configuration:
         return self.current
+
+    def legitimate(self) -> bool:
+        return self.protocol.is_legitimate(self.graph, self.current)
 
     def run_segment(self, budget: int, recorder=None) -> Segment:
         """Step the reference round driver under the synchronous daemon

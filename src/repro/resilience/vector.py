@@ -72,6 +72,12 @@ class VectorAdapter:
     def config(self):
         return self.kernel.decode(self.state)
 
+    def legitimate(self) -> bool:
+        """One ``decide_all`` on the dense state: legitimate iff no rule
+        is enabled, which equals the protocol predicate by Lemma 8 (as
+        in :func:`repro.kernels.run_engine`)."""
+        return len(self.kernel.decide_all(self.state)[0]) == 0
+
     def run_segment(self, budget: int, recorder=None) -> Segment:
         kernel = self.kernel
         touched = np.zeros(kernel.n, dtype=bool)

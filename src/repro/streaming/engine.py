@@ -120,7 +120,7 @@ class StreamSample:
     moves_by_rule: Dict[str, int]
     touched: int
     radius: Optional[int]
-    wall_seconds: float
+    wall_seconds: float  # apply, recovery segment and radius
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -363,13 +363,14 @@ class StreamEngine:
 
     # ------------------------------------------------------------------
     def _record(self, event: FaultEvent, sites, t0: float, seg: Segment) -> None:
-        wall = time.perf_counter() - t0
-        moves = int(sum(seg.moves_by_rule.values()))
         radius = None
         if sites and seg.touched:
             radius = containment_radius(
                 self.adapter.graph, set(sites), seg.touched
             )
+        # stamped after the radius: the latency covers all per-event work
+        wall = time.perf_counter() - t0
+        moves = int(sum(seg.moves_by_rule.values()))
         sample = StreamSample(
             index=self._event_index,
             kind=event.kind,
@@ -441,7 +442,7 @@ class StreamEngine:
             ).observe(sample.radius, protocol=proto)
         registry.histogram(
             "repro_stream_restabilize_seconds",
-            "Wall-clock apply+recover time per stream event",
+            "Wall-clock apply+recover+radius time per stream event",
             buckets=DEFAULT_BUCKETS,
         ).observe(sample.wall_seconds, protocol=proto, backend=self.backend)
 
@@ -466,43 +467,52 @@ class StreamEngine:
         safety-check distances of :mod:`repro.observability.convergence`.
         Mid-churn the independence/domination counts measure distance
         to safety, not protocol bugs — ``quiescent`` says which reading
-        applies.  Returns ``None`` for protocols without monitors."""
-        from repro.observability.convergence import (
-            domination_violations,
-            independence_violations,
-            matching_violations,
-            pointer_violations,
-            protocol_family,
-            sis_enabled_count,
-            smm_potential_from_census,
-        )
+        applies.  Returns ``None`` for protocols without monitors.
+
+        The vectorized backend evaluates everything on the kernel's
+        dense state (O(m) array work, no decode); the reference backend
+        evaluates the same definitions on its configuration dict.  The
+        two snapshots are identical for the same plan and seed."""
+        from repro.observability import convergence as conv
         from repro.observability.telemetry import census_of
 
-        family = protocol_family(self.protocol_key)
+        family = conv.protocol_family(self.protocol_key)
         if family is None:
             return None
-        graph = self.adapter.graph
-        config = self.adapter.config()
+        adapter = self.adapter
+        if isinstance(adapter, VectorAdapter):
+            kernel, state = adapter.kernel, adapter.state
+            if family == "matching":
+                census = kernel.census(state)
+                pointer, matching = conv.matching_check_counts(
+                    kernel._indptr, kernel._indices, state
+                )
+            else:
+                potential = kernel.enabled_count(state)
+                independent = kernel.independence_violations(state)
+                dominating = kernel.domination_violations(state)
+        else:
+            graph, config = adapter.graph, adapter.config()
+            if family == "matching":
+                census = census_of(graph, config)
+                pointer = conv.pointer_violations(graph, config)
+                matching = conv.matching_violations(graph, config)
+            else:
+                potential = conv.sis_enabled_count(graph, config)
+                independent = conv.independence_violations(graph, config)
+                dominating = conv.domination_violations(graph, config)
         if family == "matching":
-            census = census_of(graph, config)
-            potential = smm_potential_from_census(census, graph.n)
+            potential = conv.smm_potential_from_census(census, adapter.graph.n)
             # Φ is nonzero at legitimacy (unmatched A0 nodes keep
             # paying the dominant term); quiescence is the emptiness
             # of the transient Fig. 2 classes
             quiescent = all(
                 census[key] == 0 for key in ("A1", "PA", "PM", "PP")
             )
-            checks = {
-                "pointer_valid": pointer_violations(graph, config),
-                "matching_consistent": matching_violations(graph, config),
-            }
+            checks = {"pointer_valid": pointer, "matching_consistent": matching}
         else:
-            potential = sis_enabled_count(graph, config)
             quiescent = potential == 0
-            checks = {
-                "independent": independence_violations(graph, config),
-                "dominating": domination_violations(graph, config),
-            }
+            checks = {"independent": independent, "dominating": dominating}
         return {
             "family": family,
             "potential": int(potential),

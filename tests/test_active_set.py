@@ -9,6 +9,7 @@ the two must produce *identical* records — same histories, same move
 logs, same per-rule counts — not merely the same fixpoint.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -174,6 +175,63 @@ class TestVectorizedActiveSet:
         assert full.rounds == fast.rounds
         assert full.moves_by_rule == fast.moves_by_rule
         assert full.final == vec.decode(fast.final_x)
+
+
+class TestScalarDecisions:
+    """The pure-Python decisions for tiny frontiers, which read
+    neighbour rows from a per-row memo, equal the gathered array
+    decisions on a kernel built over a churned graph's patched CSR."""
+
+    @staticmethod
+    def churned_graphs():
+        gen = np.random.default_rng(5)
+        for seed in range(6):
+            graph = erdos_renyi_graph(48, 0.08, rng=seed)
+            if seed % 2:  # non-contiguous ids in a shuffled order
+                ids = gen.choice(10_000, size=graph.n, replace=False).tolist()
+                graph = graph.relabeled(dict(zip(graph.nodes, ids)))
+            graph.adjacency_arrays()  # cached, so the updates patch it
+            for _ in range(4):
+                edges = sorted(graph.edges)
+                gone = [edges[int(k)] for k in gen.choice(len(edges), 3, replace=False)]
+                nodes = list(graph.nodes)
+                new = set()
+                while len(new) < 2:
+                    u, v = (int(x) for x in gen.choice(nodes, 2, replace=False))
+                    e = (min(u, v), max(u, v))
+                    if e not in graph.edges:
+                        new.add(e)
+                graph = graph.with_updates(remove_edges=gone, add_edges=sorted(new))
+            assert graph._csr is not None
+            yield graph
+
+    @pytest.mark.parametrize(
+        "protocol, kernel_cls", [(SMM, VectorizedSMM), (SIS, VectorizedSIS)]
+    )
+    def test_scalar_equals_rows_on_random_frontiers(self, protocol, kernel_cls):
+        gen = np.random.default_rng(17)
+        moved = 0
+        for graph in self.churned_graphs():
+            kernel = kernel_cls(graph)
+            for start in range(4):
+                config = random_configuration(protocol, graph, gen)
+                state = kernel.encode(config)
+                for cut in range(4):  # random starts and partial runs
+                    for _ in range(6):
+                        size = int(gen.integers(1, 33))
+                        rows = np.unique(gen.choice(kernel.n, size))
+                        got = kernel.decide_scalar(state, rows.tolist())
+                        want = kernel.decide_rows(state, rows)
+                        assert got[0] == want[0].tolist()
+                        assert got[1] == want[1].tolist()
+                        assert got[2] == want[2]
+                        moved += len(got[0])
+                    movers, values, _ = kernel.decide_all(state)
+                    state[movers] = values
+            indptr, indices = kernel._indptr, kernel._indices
+            for i, row in kernel._adj.items():  # the memo lists CSR rows
+                assert row == indices[indptr[i]:indptr[i + 1]].tolist()
+        assert moved  # some frontier nodes were enabled
 
 
 class TestE3StyleHistories:

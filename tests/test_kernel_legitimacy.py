@@ -7,7 +7,10 @@ the predicate is the rules' fixpoint).  They also decode through
 ``tolist`` and a cached id list.  Both are checked here, on every state
 of random runs cut after 0 to n + 2 rounds — so budget-cut states that
 are not legitimate are included — against the protocol predicate on
-the decoded configuration and against a per-element decode.
+the decoded configuration and against a per-element decode.  Fault
+campaigns on the vectorized adapter decide legitimacy the same way;
+budget-cut campaigns over every event kind are checked against the
+protocol predicate on their final graph.
 """
 
 from __future__ import annotations
@@ -21,9 +24,15 @@ from repro.engine import make_protocol
 from repro.engine import run as engine_run
 from repro.graphs.generators import erdos_renyi_graph
 from repro.matching.smm_batch import BatchSMM
+from repro.matching.smm_vectorized import VectorizedSMM
 from repro.mis.sis_batch import BatchSIS
+from repro.mis.sis_vectorized import VectorizedSIS
+from repro.resilience import FaultEvent, FaultPlan
+from repro.resilience.campaign import drive_campaign
+from repro.resilience.vector import VectorAdapter
 
 BATCH = {"smm": BatchSMM, "sis": BatchSIS}
+KERNEL = {"smm": VectorizedSMM, "sis": VectorizedSIS}
 STARTS = 4
 
 
@@ -85,4 +94,53 @@ def test_array_legitimacy_and_decode_match_protocol(key):
                 assert flag == protocol.is_legitimate(graph, decoded)
                 seen[flag] += 1
     # both verdicts occur, so neither check is vacuous
+    assert seen[True] and seen[False]
+
+
+def _campaign_plan(graph, seed):
+    """Every event kind, an explicit-edge churn (the array fast path)
+    first, all firing within the first six rounds."""
+    edges = sorted(graph.edges)
+    absent = next(
+        (u, v)
+        for u in graph.nodes
+        for v in graph.nodes
+        if u < v and (u, v) not in graph.edges
+    )
+    return FaultPlan(
+        events=(
+            FaultEvent(
+                round=1, kind="churn", remove_edges=(edges[0],), add_edges=(absent,)
+            ),
+            FaultEvent(round=2, kind="perturb", fraction=0.3),
+            FaultEvent(round=3, kind="churn", churn=2),
+            FaultEvent(round=4, kind="crash", count=2),
+            FaultEvent(round=5, kind="message_loss", count=1),
+            FaultEvent(round=6, kind="rejoin"),
+            FaultEvent(round=6, kind="message_dup", count=3),
+        ),
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("key", ["smm", "sis"])
+def test_campaign_legitimacy_matches_protocol(key):
+    """A vectorized campaign cut at every budget from 0 to 12 rounds
+    reports the protocol predicate's verdict on its final graph and
+    configuration."""
+    protocol = make_protocol(key)
+    seen = {True: 0, False: 0}
+    graphs = [g for g in _graphs() if g.n >= 6 and g.m >= 1][:12]
+    for index, graph in enumerate(graphs):
+        plan = _campaign_plan(graph, index)
+        for start in range(2):
+            config = random_configuration(protocol, graph, 1000 * index + start)
+            for budget in range(13):
+                adapter = VectorAdapter(protocol, graph, config, KERNEL[key])
+                summary, _ = drive_campaign(
+                    protocol, adapter, plan, budget=budget, backend="vectorized"
+                )
+                want = protocol.is_legitimate(summary["final_graph"], summary["final"])
+                assert summary["legitimate"] == want
+                seen[want] += 1
     assert seen[True] and seen[False]

@@ -20,6 +20,7 @@ from repro.errors import ExperimentError
 from repro.graphs.generators import cycle_graph, random_geometric_graph, random_tree
 from repro.graphs.graph import Graph
 from repro.observability.metrics import MetricsRegistry, use_registry
+from repro.resilience import FaultEvent, FaultPlan
 from repro.streaming import (
     StreamEngine,
     load_trace,
@@ -190,6 +191,45 @@ class TestStreamEngine:
         ref = run_stream(protocol, graph, plan, backend="reference")
         vec = run_stream(protocol, graph, plan, backend="vectorized")
         assert ref.counters() == vec.counters()
+
+    @pytest.mark.parametrize("protocol", ["smm", "sis"])
+    def test_backends_agree_on_convergence_snapshot(self, protocol):
+        """The vectorized backend reads the report's convergence
+        snapshot off its dense state, the reference backend off its
+        configuration dict; the snapshots are identical for every event
+        kind, after a full settle and after zero- and one-round settle
+        windows that leave runs mid-recovery."""
+        graph = random_geometric_graph(28, 0.3, 4)
+        plans = [
+            poisson_plan(graph, rate=0.8, events=12, seed=seed, kinds=kinds)
+            for seed, kinds in enumerate(
+                [("churn",), ("perturb",), ("message_dup",), ("crash",),
+                 ("churn", "perturb", "message_dup", "crash")]
+            )
+        ]
+        plans.append(
+            FaultPlan(
+                events=(
+                    FaultEvent(round=1, kind="churn", churn=2),
+                    FaultEvent(round=2, kind="message_loss", count=2),
+                    FaultEvent(round=2, kind="perturb", fraction=0.3),
+                ),
+                seed=3,
+            )
+        )
+        quiescent = []
+        for plan in plans:
+            for settle in (None, 0, 1):
+                ref = run_stream(
+                    protocol, graph, plan, backend="reference", settle_budget=settle
+                )
+                vec = run_stream(
+                    protocol, graph, plan, backend="vectorized", settle_budget=settle
+                )
+                assert ref.counters() == vec.counters()
+                assert ref.convergence == vec.convergence
+                quiescent.append(vec.convergence["quiescent"])
+        assert 0 < quiescent.count(False) < len(quiescent)  # both readings
 
     def test_report_invariants_and_final_legitimacy(self):
         graph = random_tree(24, rng=8)
