@@ -211,16 +211,20 @@ def _option_value_from_json(value: Any) -> Any:
     return value
 
 
-def trial_spec_to_dict(spec) -> Dict[str, Any]:
+def trial_spec_to_dict(spec, *, graph: Any = None) -> Dict[str, Any]:
     """JSON-safe :class:`~repro.parallel.TrialSpec` (versioned with
     :data:`SCHEMA_VERSION`; round-trips through
     :func:`trial_spec_from_dict`).  Raises ``ValueError`` for specs
     carrying non-serializable option values.
+
+    ``graph``, when given, is written in place of the inline node/edge
+    lists: the serve job journal writes each distinct graph once and
+    gives its specs the graph's index in that list.
     """
     return {
         "schema": SCHEMA_VERSION,
         "protocol": spec.protocol,
-        "graph": graph_to_dict(spec.graph),
+        "graph": graph_to_dict(spec.graph) if graph is None else graph,
         "config": (
             None
             if spec.config is None
@@ -240,15 +244,21 @@ def trial_spec_to_dict(spec) -> Dict[str, Any]:
     }
 
 
-def trial_spec_from_dict(data: Mapping[str, Any]):
+def trial_spec_from_dict(data: Mapping[str, Any], *, graph: Any = None):
     """Rebuild a :class:`~repro.parallel.TrialSpec` from
-    :func:`trial_spec_to_dict` output."""
+    :func:`trial_spec_to_dict` output.
+
+    ``graph``, when given, is the spec's already-built
+    :class:`~repro.graphs.graph.Graph` and ``data["graph"]`` is not
+    read: the serve job journal passes one shared graph to every spec
+    that refers to it.
+    """
     from repro.parallel.trial_runner import TrialSpec
 
     config = data.get("config")
     return TrialSpec(
         protocol=str(data["protocol"]),
-        graph=graph_from_dict(data["graph"]),
+        graph=graph_from_dict(data["graph"]) if graph is None else graph,
         config=None if config is None else configuration_from_dict(config),
         daemon=str(data.get("daemon", "synchronous")),
         max_rounds=(

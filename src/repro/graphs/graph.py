@@ -15,6 +15,7 @@ each node is assigned a unique ID").
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.errors import GraphError
@@ -43,7 +44,7 @@ class Graph:
     adjacency makes that a simple first-match scan.
     """
 
-    __slots__ = ("_adj", "_nodes", "_edges", "_hash", "_csr")
+    __slots__ = ("_adj", "_nodes", "_edges", "_hash", "_csr", "_canon")
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]):
         node_list = list(nodes)
@@ -73,6 +74,7 @@ class Graph:
         self._edges: frozenset[Edge] = frozenset(edge_set)
         self._hash: int | None = None
         self._csr: tuple | None = None
+        self._canon: Tuple[str, str] | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -166,8 +168,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def __getstate__(self):
-        # Keep pickles lean: the CSR cache and hash are derived data and
-        # rebuilt lazily on the receiving side (e.g. in pool workers).
+        # Keep pickles lean: the CSR cache, the canonical JSON and the
+        # hash are derived data and rebuilt lazily on the receiving side.
         # ``_edges`` may itself be lazily None on derived graphs.
         return {"_adj": self._adj, "_nodes": self._nodes, "_edges": self._edges}
 
@@ -177,6 +179,7 @@ class Graph:
         self._edges = state["_edges"]
         self._hash = None
         self._csr = None
+        self._canon = None
 
     # ------------------------------------------------------------------
     # structure queries
@@ -330,6 +333,7 @@ class Graph:
         graph._edges = None
         graph._hash = None
         graph._csr = None
+        graph._canon = None
         if self._csr is not None:
             if removed_nodes or added_nodes:
                 graph._csr = self._csr_patch_nodes(
@@ -527,3 +531,21 @@ class Graph:
                     cursor += 1
             self._csr = (indptr, indices, ids, pos)
         return self._csr
+
+    def canonical_json(self) -> Tuple[str, str]:
+        """The graph's share of :func:`repro.parallel.spec_fingerprint`:
+        JSON text of the node list (ascending, each id as its ``repr``)
+        and of the edge list (each edge's two ``repr`` strings sorted,
+        then the edges sorted).
+
+        Built once per graph and cached, like the CSR: a sweep's trials
+        share one graph, and re-encoding it for every fingerprint cost
+        about as much as running a served trial.  Derived data: dropped
+        on pickling and not carried over by :meth:`with_updates`.
+        """
+        if self._canon is None:
+            self._canon = (
+                json.dumps([repr(n) for n in self._nodes]),
+                json.dumps(sorted(sorted(repr(x) for x in e) for e in self.edges)),
+            )
+        return self._canon

@@ -389,6 +389,11 @@ def _fingerprint_canon(value):
     return repr(value)
 
 
+def _json_members(payload: Dict[str, object]) -> str:
+    """``payload`` as sorted-key JSON, without its enclosing braces."""
+    return json.dumps(payload, sort_keys=True, default=_fingerprint_canon)[1:-1]
+
+
 def spec_fingerprint(spec: TrialSpec) -> str:
     """A short stable hash of everything that determines the trial's
     result — the checkpoint key that guards resumes against spec-list
@@ -396,6 +401,14 @@ def spec_fingerprint(spec: TrialSpec) -> str:
     hash by node/edge lists, configurations by sorted items, option
     values through ``to_dict`` when they have one
     (:class:`~repro.resilience.FaultPlan` does) and ``repr`` otherwise.
+
+    The hashed text is one sorted-key JSON object.  Its ``nodes`` and
+    ``edges`` members are the graph's share, which the graph encodes
+    once and caches (:meth:`Graph.canonical_json`); they are spliced in
+    at their sorted positions (``edges`` between ``daemon`` and
+    ``max_rounds``, ``nodes`` between ``max_rounds`` and ``options``),
+    so a sweep of trials on one graph encodes it once, not per trial,
+    and the bytes are those of encoding the whole object in one call.
 
     The serialization schema version
     (:data:`repro.analysis.serialize.SCHEMA_VERSION`) is folded into
@@ -411,11 +424,9 @@ def spec_fingerprint(spec: TrialSpec) -> str:
     """
     from repro.analysis.serialize import SCHEMA_VERSION
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "protocol": spec.protocol,
-        "nodes": [repr(n) for n in spec.graph.nodes],
-        "edges": sorted(sorted(repr(x) for x in e) for e in spec.graph.edges),
+    nodes, edges = spec.graph.canonical_json()
+    before_edges = {
+        "backend": spec.backend,
         "config": (
             None
             if spec.config is None
@@ -425,16 +436,24 @@ def spec_fingerprint(spec: TrialSpec) -> str:
             )
         ),
         "daemon": spec.daemon,
-        "max_rounds": spec.max_rounds,
-        "record_history": spec.record_history,
-        "seed": None if spec.seed is None else int(spec.seed),
+    }
+    after_nodes = {
         "options": [
             [name, _fingerprint_canon(value)] for name, value in spec.options
         ],
-        "backend": spec.backend,
+        "protocol": spec.protocol,
+        "record_history": spec.record_history,
+        "schema": SCHEMA_VERSION,
+        "seed": None if spec.seed is None else int(spec.seed),
         "telemetry": spec.telemetry,
     }
-    blob = json.dumps(payload, sort_keys=True, default=_fingerprint_canon)
+    blob = (
+        "{" + _json_members(before_edges)
+        + ', "edges": ' + edges
+        + ", " + _json_members({"max_rounds": spec.max_rounds})
+        + ', "nodes": ' + nodes
+        + ", " + _json_members(after_nodes) + "}"
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -768,11 +787,11 @@ class TrialRunner:
                 if made > 1:
                     attempts[index] = made
                 if writer is not None and index not in resumed:
-                    json.dump(
-                        _checkpoint_record(index, fingerprints[index], outcome),
-                        writer,
-                    )
-                    writer.write("\n")
+                    # json.dumps runs the C encoder; json.dump(obj, file)
+                    # runs the pure-Python one, for the same bytes
+                    writer.write(json.dumps(
+                        _checkpoint_record(index, fingerprints[index], outcome)
+                    ) + "\n")
                     writer.flush()
                 if self.on_result is not None:
                     self.on_result(index, outcome, index in resumed)

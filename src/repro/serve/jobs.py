@@ -17,9 +17,10 @@ progress counters, timestamps).  The :class:`JobManager` owns
   computation (a follower whose leader fails re-leases and runs the
   trial through its own runner, under the same policies);
 * a per-job on-disk journal (``<state>/jobs/<id>/``) holding the
-  serialized specs (``job.json``, immutable), mutable status
-  (``status.json``, atomically replaced), the runner's resume
-  checkpoint (``checkpoint.jsonl``), streamed telemetry
+  serialized specs (``job.json``, immutable: each distinct graph once
+  in its ``graphs`` list, each spec's ``graph`` an index into it),
+  mutable status (``status.json``, atomically replaced), the runner's
+  resume checkpoint (``checkpoint.jsonl``), streamed telemetry
   (``telemetry.jsonl``) and the final response (``results.json``).
 
 Crash-safety contract: everything a restarted server needs is in the
@@ -28,7 +29,9 @@ queued or running when the previous process died; re-execution leases
 the store first (finished trials are cache hits) and the runner
 resumes the remainder from its checkpoint, so no completed trial is
 ever recomputed.  A SIGTERM'd server *requeues* (rather than cancels)
-jobs interrupted mid-run — see :meth:`JobManager.shutdown`.
+jobs interrupted mid-run — see :meth:`JobManager.shutdown`.  A journal
+that does not rebuild (torn, or parsed but malformed) is skipped and
+left on disk; it never stops the other jobs from recovering.
 
 Trial failures (:class:`~repro.parallel.FailedTrial`) do not fail a
 job: like resilient sweeps, the job completes ``done`` with ``failed``
@@ -56,16 +59,19 @@ must snapshot queue/pool stats *before* locking the registry.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.serialize import (
     SCHEMA_VERSION,
     execution_to_dict,
+    graph_from_dict,
+    graph_to_dict,
     trial_spec_from_dict,
     trial_spec_to_dict,
 )
@@ -137,11 +143,72 @@ def _now() -> float:
     return time.time()
 
 
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
+def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write(text)
     os.replace(tmp, path)
+
+
+def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
+    # json.dumps runs the C encoder; json.dump(payload, file) runs the
+    # pure-Python one, for the same bytes
+    _atomic_write(path, json.dumps(payload, sort_keys=True))
+
+
+def _journal_specs(specs: Sequence[TrialSpec]) -> Dict[str, Any]:
+    """``job.json``'s ``graphs`` and ``specs``: each distinct graph
+    object once, each spec's ``graph`` its index in ``graphs``.  Raises
+    ``ValueError`` for a spec that cannot be serialized."""
+    graphs: List[Dict[str, Any]] = []
+    slots: Dict[int, int] = {}  # id(graph) -> index in graphs
+    records = []
+    for spec in specs:
+        slot = slots.get(id(spec.graph))
+        if slot is None:
+            slot = slots[id(spec.graph)] = len(graphs)
+            graphs.append(graph_to_dict(spec.graph))
+        records.append(trial_spec_to_dict(spec, graph=slot))
+    return {"graphs": graphs, "specs": records}
+
+
+def _specs_from_journal(record: Mapping[str, Any]) -> List[TrialSpec]:
+    """The specs of a ``job.json``, one shared ``Graph`` per ``graphs``
+    entry.  A spec whose ``graph`` is an inline node/edge dict (the
+    layout before the ``graphs`` list, and the
+    :func:`~repro.analysis.serialize.trial_spec_from_dict` wire format)
+    gets a graph of its own."""
+    graphs = [graph_from_dict(data) for data in record.get("graphs", ())]
+    specs = []
+    for data in record["specs"]:
+        ref = data["graph"]
+        if isinstance(ref, Mapping):
+            specs.append(trial_spec_from_dict(data))
+            continue
+        if type(ref) is not int or not 0 <= ref < len(graphs):
+            raise IndexError(
+                f"graph {ref!r} is not an index into {len(graphs)} graphs"
+            )
+        specs.append(trial_spec_from_dict(data, graph=graphs[ref]))
+    return specs
+
+
+def _load_status(path: str) -> Dict[str, Any]:
+    """A job's ``status.json``; ``{}`` when it is missing, torn or not
+    an object, so the job re-runs (answered from the store)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            status = json.load(handle)
+    except (OSError, ValueError):
+        return {}
+    return status if isinstance(status, dict) else {}
+
+
+def _number(value: Any) -> Optional[float]:
+    """A journaled timestamp, or ``None`` when it is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    return None
 
 
 class Job:
@@ -354,7 +421,7 @@ class JobManager:
         self._threads: Dict[str, threading.Thread] = {}
         self._heartbeats: Dict[str, float] = {}
         self._stop = threading.Event()
-        self._seq = 0
+        self._seq = itertools.count(1)  # next() is atomic: no lock needed
         self._worker_seq = 0
         self._target = workers
         self._restarts = 0
@@ -579,35 +646,32 @@ class JobManager:
                     os.path.join(directory, "job.json"), encoding="utf-8"
                 ) as handle:
                     record = json.load(handle)
-                specs = [
-                    trial_spec_from_dict(s) for s in record["specs"]
-                ]
-            except (OSError, ValueError, KeyError):
-                continue  # torn journal: not recoverable, leave on disk
-            deadline = record.get("deadline")
-            job = Job(
-                job_id,
-                specs,
-                directory=directory,
-                label=record.get("label"),
-                mode=record.get("mode", "async"),
-                created=record.get("created"),
-                deadline=deadline if isinstance(deadline, (int, float)) else None,
-            )
-            try:
-                with open(job.status_path, encoding="utf-8") as handle:
-                    status = json.load(handle)
-            except (OSError, ValueError):
-                status = {}
+                job = Job(
+                    job_id,
+                    _specs_from_journal(record),
+                    directory=directory,
+                    label=record.get("label"),
+                    mode=record.get("mode", "async"),
+                    created=_number(record.get("created")),
+                    deadline=_number(record.get("deadline")),
+                )
+            except Exception:
+                # torn, or parsed but malformed (a list, null specs, a
+                # repeated edge, a bad graph index): not recoverable,
+                # left on disk, and never in the way of the other jobs
+                continue
+            status = _load_status(job.status_path)
             state = status.get("state", "queued")
-            job.started = status.get("started")
-            job.finished = status.get("finished")
-            job.error = status.get("error")
+            job.started = _number(status.get("started"))
+            job.finished = _number(status.get("finished"))
+            error = status.get("error")
+            job.error = error if isinstance(error, str) else None
             progress = status.get("progress")
             if isinstance(progress, dict):
-                job.progress.update(
-                    {k: int(v) for k, v in progress.items() if k in job.progress}
-                )
+                job.progress.update({
+                    k: v for k, v in progress.items()
+                    if k in job.progress and type(v) is int
+                })
             if state in ("done", "failed", "cancelled"):
                 job.state = state
                 job.done_event.set()
@@ -649,7 +713,29 @@ class JobManager:
             raise ValueError("a job needs at least one trial spec")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-        serialized = [trial_spec_to_dict(s) for s in specs]  # may raise
+        # Serialize, fingerprint (in Job) and encode before taking the
+        # lock: status reads, /metrics and other submits wait on it.
+        journal = _journal_specs(specs)  # may raise
+        job_id = f"{int(_now() * 1000):013d}-{next(self._seq):04d}"
+        job = Job(
+            job_id,
+            specs,
+            directory=os.path.join(self.jobs_dir, job_id),
+            label=label,
+            mode=mode,
+            deadline=(
+                None if deadline_s is None else _now() + float(deadline_s)
+            ),
+        )
+        journal.update(
+            schema=SCHEMA_VERSION,
+            id=job.id,
+            label=job.label,
+            mode=job.mode,
+            created=job.created,
+            deadline=job.deadline,
+        )
+        text = json.dumps(journal, sort_keys=True)
         with self._lock:
             if self._stop.is_set():
                 self._count_shed("draining")
@@ -661,32 +747,8 @@ class JobManager:
                 if depth >= self.max_queue_depth:
                     self._count_shed("queue_full")
                     raise QueueFull(self._retry_after_locked(depth), depth)
-            self._seq += 1
-            job_id = f"{int(_now() * 1000):013d}-{self._seq:04d}"
-            directory = os.path.join(self.jobs_dir, job_id)
-            os.makedirs(directory, exist_ok=True)
-            job = Job(
-                job_id,
-                specs,
-                directory=directory,
-                label=label,
-                mode=mode,
-                deadline=(
-                    None if deadline_s is None else _now() + float(deadline_s)
-                ),
-            )
-            _atomic_write_json(
-                job.spec_path,
-                {
-                    "schema": SCHEMA_VERSION,
-                    "id": job.id,
-                    "label": job.label,
-                    "mode": job.mode,
-                    "created": job.created,
-                    "deadline": job.deadline,
-                    "specs": serialized,
-                },
-            )
+            os.makedirs(job.directory, exist_ok=True)
+            _atomic_write(job.spec_path, text)
             self._journal(job)
             self._jobs[job.id] = job
         self._metric(

@@ -158,7 +158,9 @@ class ResultStore:
         final = self.path(fingerprint)
         tmp = f"{final}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, sort_keys=True)
+            # json.dumps runs the C encoder; json.dump(result, file)
+            # runs the pure-Python one, for the same bytes
+            handle.write(json.dumps(result, sort_keys=True))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, final)

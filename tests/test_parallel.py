@@ -16,6 +16,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.configuration import Configuration
 from repro.core.executor import run_central, run_synchronous
@@ -386,6 +388,145 @@ class TestFingerprintFormat:
         assert spec_fingerprint(
             dataclasses.replace(rich, convergence=True)
         ) == "8ce0656b43130cc1"
+
+
+def _reference_fingerprint(spec):
+    """The whole-payload fingerprint formula, encoding the graph inside
+    the one ``json.dumps`` call: the reference the cached graph share
+    (``Graph.canonical_json``) must reproduce byte for byte."""
+    import hashlib
+
+    from repro.analysis.serialize import SCHEMA_VERSION
+    from repro.parallel.trial_runner import _fingerprint_canon
+
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "protocol": spec.protocol,
+        "nodes": [repr(n) for n in spec.graph.nodes],
+        "edges": sorted(sorted(repr(x) for x in e) for e in spec.graph.edges),
+        "config": (
+            None
+            if spec.config is None
+            else sorted(
+                (repr(k), _fingerprint_canon(v))
+                for k, v in dict(spec.config).items()
+            )
+        ),
+        "daemon": spec.daemon,
+        "max_rounds": spec.max_rounds,
+        "record_history": spec.record_history,
+        "seed": None if spec.seed is None else int(spec.seed),
+        "options": [
+            [name, _fingerprint_canon(value)] for name, value in spec.options
+        ],
+        "backend": spec.backend,
+        "telemetry": spec.telemetry,
+    }
+    blob = json.dumps(payload, sort_keys=True, default=_fingerprint_canon)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+@st.composite
+def _share_cases(draw):
+    """A graph on ids whose ``repr`` order differs from their numeric
+    order (2 and 10, negatives), and the rest of a spec."""
+    from repro.graphs.graph import Graph
+
+    ids = draw(st.lists(st.integers(-12, 12), max_size=9, unique=True))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    states = st.one_of(st.none(), st.sampled_from(ids)) if ids else st.none()
+    config = draw(st.one_of(
+        st.none(), st.fixed_dictionaries({n: states for n in ids})
+    ))
+    spec = {
+        "protocol": draw(st.sampled_from(["smm", "sis"])),
+        "config": config,
+        "daemon": draw(st.sampled_from(["synchronous", "central"])),
+        "max_rounds": draw(st.one_of(st.none(), st.integers(0, 50))),
+        "seed": draw(st.one_of(st.none(), st.integers(-5, 2**40))),
+        "options": draw(st.sampled_from([(), (("step_limit", 500),)])),
+        "backend": draw(st.sampled_from(["auto", "reference"])),
+        "telemetry": draw(st.booleans()),
+    }
+    return Graph(ids, edges), spec, draw(st.randoms(use_true_random=False))
+
+
+class TestFingerprintGraphShare:
+    """``spec_fingerprint`` splices the graph's cached JSON share into
+    the payload; every graph a spec can carry must hash exactly as the
+    whole-payload formula does, with a cold cache and a warm one."""
+
+    @staticmethod
+    def _check(graph, fields):
+        from repro.parallel import TrialSpec
+
+        if fields["config"] is not None:
+            fields = dict(
+                fields,
+                config={n: fields["config"].get(n) for n in graph.nodes},
+            )
+        spec = TrialSpec(graph=graph, **fields)
+        want = _reference_fingerprint(spec)
+        assert spec_fingerprint(spec) == want  # cold: builds the share
+        assert spec_fingerprint(spec) == want  # warm: reads the cache
+
+    @settings(max_examples=150, deadline=None)
+    @given(_share_cases())
+    def test_every_graph_source_matches_the_reference(self, case):
+        import pickle
+
+        from repro.analysis.serialize import graph_from_dict, graph_to_dict
+
+        graph, fields, rand = case
+        self._check(graph, fields)  # fills graph's cache
+        graph.adjacency_arrays()  # and its CSR, which with_updates patches
+        nodes = list(graph.nodes)
+        present = sorted(graph.edges)
+        absent = [
+            (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+            if not graph.has_edge(u, v)
+        ]
+        derived = [
+            graph_from_dict(graph_to_dict(graph)),
+            pickle.loads(pickle.dumps(graph)),
+            graph.subgraph(rand.sample(nodes, rand.randint(0, len(nodes)))),
+            graph.relabeled(dict(zip(nodes, rand.sample(range(-20, 21), len(nodes))))),
+        ]
+        if present or absent:  # edge-only change
+            derived.append(graph.with_updates(
+                remove_edges=rand.sample(present, min(1, len(present))),
+                add_edges=rand.sample(absent, min(1, len(absent))),
+            ))
+        fresh = next(x for x in (13, -13, 2, 10) if x not in graph)
+        gone = rand.sample(nodes, min(1, len(nodes)))
+        kept = [v for v in nodes if v not in gone]
+        derived.append(graph.with_updates(  # node-set change
+            add_nodes=[fresh],
+            remove_nodes=gone,
+            add_edges=[(fresh, v) for v in rand.sample(kept, min(1, len(kept)))],
+        ))
+        for other in derived:
+            self._check(other, fields)
+
+    def test_repr_order_and_negative_ids(self):
+        from repro.graphs.graph import Graph
+
+        graph = Graph([10, 2, -1, -10, 0], [(2, 10), (-10, 2), (-1, 10), (0, -10)])
+        fields = {"protocol": "smm", "config": None, "seed": 3}
+        self._check(graph, fields)
+        self._check(graph.with_updates(add_edges=[(0, 10)]), fields)
+        self._check(graph.with_updates(remove_nodes=[2], add_nodes=[-2]), fields)
+
+    def test_cache_is_derived_data(self):
+        import pickle
+
+        graph = cycle_graph(6)
+        share = graph.canonical_json()
+        assert graph.canonical_json() is share
+        assert "_canon" not in graph.__getstate__()
+        assert pickle.loads(pickle.dumps(graph))._canon is None
+        assert graph.with_updates(remove_edges=[(0, 1)])._canon is None
 
 
 class TestOwnerHooks:

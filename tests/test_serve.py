@@ -32,7 +32,12 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.serialize import SCHEMA_VERSION, execution_to_dict
+from repro.analysis.serialize import (
+    SCHEMA_VERSION,
+    execution_to_dict,
+    graph_to_dict,
+    trial_spec_to_dict,
+)
 from repro.graphs.generators import cycle_graph
 from repro.matching.smm import SynchronousMaximalMatching
 from repro.parallel import (
@@ -1355,6 +1360,164 @@ class TestTornJournalRecovery:
                 assert results is not None and len(results) == 2
         finally:
             recovered.shutdown()
+
+
+def _finished_jobs(state, count, trials=2):
+    """Run ``count`` jobs of ``trials`` specs each to completion on
+    ``state`` (so the store holds every result); their ids."""
+    manager = JobManager(str(state), workers=1)
+    manager.start()
+    ids = []
+    try:
+        for i in range(count):
+            job = manager.submit(_specs(trials, seed=1000 + 10 * i))
+            assert manager.wait(job, timeout=60)
+            assert job.state == "done"
+            ids.append(job.id)
+    finally:
+        manager.shutdown()
+    return ids
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+class TestJournalLayout:
+    """``job.json`` holds each distinct graph once, in ``graphs``; a
+    spec's ``graph`` is its index there."""
+
+    def test_generator_job_journals_one_graph(self, tmp_path):
+        specs = parse_sweep_request({
+            "sweep": {"protocol": "smm", "family": "cycle", "n": 12,
+                      "trials": 5, "seed": 4},
+        }).specs
+        manager = _manager(tmp_path, workers=1)
+        job = manager.submit(specs)  # no start(): the journal is enough
+        record = _read_json(job.spec_path)
+        assert record["graphs"] == [graph_to_dict(specs[0].graph)]
+        assert [s["graph"] for s in record["specs"]] == [0] * 5
+
+    def test_recovered_specs_share_one_graph(self, tmp_path):
+        state = tmp_path / "state"
+        specs = _specs(3) + _specs(2, n=5)
+        job = JobManager(str(state), workers=1).submit(specs)
+        assert [s["graph"] for s in _read_json(job.spec_path)["specs"]] == [
+            0, 0, 0, 1, 1
+        ]
+
+        manager = JobManager(str(state), workers=1)
+        manager.start()
+        try:
+            recovered = manager.get(job.id)
+            graphs = [spec.graph for spec in recovered.specs]
+            assert graphs[0] is graphs[1] is graphs[2]
+            assert graphs[3] is graphs[4]
+            assert graphs[0] == specs[0].graph and graphs[3] == specs[3].graph
+            assert recovered.fingerprints == job.fingerprints
+            assert manager.wait(recovered, timeout=60)
+            assert [e["result"] for e in manager.results(recovered)] == [
+                execution_to_dict(r) for r in run_trials(specs)
+            ]
+        finally:
+            manager.shutdown()
+
+    def test_old_layout_recovers_from_store(self, tmp_path):
+        """A ``job.json`` written before the ``graphs`` list, with an
+        inline graph in every spec, recovers and is served from the
+        store."""
+        state = tmp_path / "state"
+        _finished_jobs(state, 1, trials=3)
+        specs = _specs(3, seed=1000)
+        job_id = "0000000000001-0001"
+        directory = state / "jobs" / job_id
+        directory.mkdir()
+        _write_json(directory / "job.json", {
+            "schema": SCHEMA_VERSION,
+            "id": job_id,
+            "label": "old layout",
+            "mode": "async",
+            "created": time.time(),
+            "deadline": None,
+            "specs": [trial_spec_to_dict(spec) for spec in specs],
+        })
+
+        manager = JobManager(str(state), workers=1)
+        manager.start()
+        try:
+            job = manager.get(job_id)
+            assert job is not None and job.label == "old layout"
+            assert manager.wait(job, timeout=60)
+            assert job.state == "done"
+            assert job.progress["computed"] == 0
+            assert job.progress["cached"] == 3
+            assert [e["result"] for e in manager.results(job)] == [
+                execution_to_dict(r) for r in run_trials(specs)
+            ]
+        finally:
+            manager.shutdown()
+
+
+def _repeat_first_edge(record):
+    graphs = [dict(g, edges=g["edges"] + g["edges"][:1]) for g in record["graphs"]]
+    return dict(record, graphs=graphs)
+
+
+class TestMalformedJournalRecovery:
+    """A journal file that parses but is malformed is skipped the way a
+    torn one is: ``start()`` succeeds, the bad ``job.json``'s job is
+    left on disk unloaded (a bad ``status.json`` is read as torn, so its
+    job re-runs from the store), and a sibling job still recovers."""
+
+    CASES = {
+        "specs-null": ("job.json", lambda r: dict(r, specs=None)),
+        "record-is-a-list": ("job.json", lambda r: [r]),
+        "repeated-edge": ("job.json", _repeat_first_edge),
+        "graph-index-out-of-range": (
+            "job.json",
+            lambda r: dict(r, specs=[dict(s, graph=1) for s in r["specs"]]),
+        ),
+        "graph-index-negative": (
+            "job.json",
+            lambda r: dict(r, specs=[dict(s, graph=-1) for s in r["specs"]]),
+        ),
+        "status-is-a-list": ("status.json", lambda r: []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_journal_is_skipped(self, tmp_path, case):
+        state = tmp_path / "state"
+        bad, sibling = _finished_jobs(state, 2)
+        name, corrupt = self.CASES[case]
+        path = state / "jobs" / bad / name
+        _write_json(path, corrupt(_read_json(path)))
+        # the sibling was mid-run when the daemon died
+        _write_json(state / "jobs" / sibling / "status.json", {"state": "running"})
+
+        manager = JobManager(str(state), workers=1)
+        manager.start()
+        try:
+            job = manager.get(sibling)
+            assert job is not None and manager.wait(job, timeout=60)
+            assert job.state == "done"
+            assert job.progress["cached"] == 2
+            assert job.progress["computed"] == 0
+            skipped = manager.get(bad)
+            if name == "job.json":
+                assert skipped is None
+                assert path.exists()
+            else:
+                assert manager.wait(skipped, timeout=60)
+                assert skipped.state == "done"
+                assert skipped.progress["computed"] == 0
+        finally:
+            manager.shutdown()
 
 
 class TestRunServerErrors:
